@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,10 @@ __all__ = ["build_parser", "main", "run"]
 
 #: tvd thresholds whose first crossing the scan subcommand records
 SCAN_THRESHOLDS = (0.75, 0.5, 0.25, 0.05)
+#: predict_threshold selectors of the scan's pred_* columns
+_SCAN_SELECTORS = ("support", "c1_basic", "c1_refined", "c_hat")
+_SCAN_COLUMNS = ("p", "log2_p", "cross_075", "cross_050", "cross_025", "cross_005",
+                 *(f"pred_{s}" for s in _SCAN_SELECTORS))
 
 #: moduli above this cannot be simulated with int64 arithmetic
 SIMULATE_MAX_MODULUS = 1 << 61
@@ -86,6 +91,8 @@ def _parse_dist(text: str) -> IncrementDistribution:
         part = part.strip()
         if "/" in part:
             num, den = part.split("/", 1)
+            if float(den) == 0.0:
+                raise ValueError(f"--dist value {part!r} divides by zero")
             vals.append(float(num) / float(den))
         else:
             vals.append(float(part))
@@ -100,7 +107,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n", out)
+
+
+def _csv(columns, rows) -> str:
+    """A header plus one line per row dict: None is an empty cell, floats use _fmt."""
+    def cell(v):
+        return "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+
+    lines = [",".join(columns)] + [",".join(cell(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _warn(msg: str) -> None:
@@ -109,17 +125,19 @@ def _warn(msg: str) -> None:
 
 # ----------------------------------------------------------------- evolve
 
+_EVOLVE_COLUMNS = ("step", "tvd", "entropy_bits", "support", "typical99")
+
+
 def cmd_evolve(args) -> int:
     params = validate_params(args.p, 2, _parse_dist(args.dist))
     max_p = args.max_p_override or dist_mod.DEFAULT_MAX_MODULUS
     _, rows = dist_mod.evolve_with_trace(params, args.steps, args.delta, max_p)
+    trace = [
+        dict(zip(_EVOLVE_COLUMNS, (r.step, r.tvd, r.entropy_bits, r.support, r.typical)))
+        for r in rows
+    ]
     if args.format == "csv":
-        lines = ["step,tvd,entropy_bits,support,typical99"]
-        lines += [
-            f"{r.step},{_fmt(r.tvd)},{_fmt(r.entropy_bits)},{r.support},{r.typical}"
-            for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv(_EVOLVE_COLUMNS, trace), args.out)
     else:
         _emit_json(
             {
@@ -128,16 +146,7 @@ def cmd_evolve(args) -> int:
                 "steps": args.steps,
                 "dist": list(params.increments.as_tuple()),
                 "delta": args.delta,
-                "trace": [
-                    {
-                        "step": r.step,
-                        "tvd": r.tvd,
-                        "entropy_bits": r.entropy_bits,
-                        "support": r.support,
-                        "typical99": r.typical,
-                    }
-                    for r in rows
-                ],
+                "trace": trace,
             },
             args.out,
         )
@@ -149,8 +158,7 @@ def cmd_evolve(args) -> int:
 def _scan_moduli(args) -> list[int]:
     if args.primes:
         moduli = []
-        for part in args.primes.split(","):
-            p = int(part.strip())
+        for p in map(int, args.primes.split(",")):
             if p < 3 or p % 2 == 0:
                 raise ValueError(f"scan modulus {p} must be an odd integer >= 3")
             if not is_prime(p):
@@ -162,78 +170,35 @@ def _scan_moduli(args) -> list[int]:
         return moduli
     if args.p_min is None or args.p_max is None:
         raise ValueError("scan needs either --primes or both --p-min and --p-max")
-    lo, hi = max(3, args.p_min), args.p_max
-    out = []
-    for p in range(lo | 1, hi + 1, 2):
-        if args.allow_composite or is_prime(p):
-            out.append(p)
-    return out
+    candidates = range(max(3, args.p_min) | 1, args.p_max + 1, 2)
+    return [p for p in candidates if args.allow_composite or is_prime(p)]
 
 
 def _scan_row(p: int, dist: IncrementDistribution, max_p: int, cap: int | None) -> dict:
     params = validate_params(p, 2, dist)
-    if p > max_p:
-        raise dist_mod.ModulusTooLargeError(
-            f"modulus {p} exceeds guard {max_p}; raise --max-p-override"
-        )
-    limit = cap if cap else 4 * math.ceil(math.log2(p)) + 64
-    vec = dist_mod.initial_dist(p, max_p)
-    perm = dist_mod._doubling_permutation(p, params.multiplier)
-    crossings: dict[float, int | None] = {t: None for t in SCAN_THRESHOLDS}
-    n = 0
-    while any(v is None for v in crossings.values()) and n < limit:
-        vec = dist_mod._apply_step(vec, params, perm)
-        n += 1
-        tvd = dist_mod.tvd_uniform(vec)
+    limit = cap if cap is not None else 4 * math.ceil(math.log2(p)) + 64
+    crossings: dict[float, int | None] = dict.fromkeys(SCAN_THRESHOLDS)
+    for n, mass in dist_mod.iter_evolve(params, limit, max_p):
+        if n == 0:  # the start is never a crossing
+            continue
+        tvd = dist_mod.tvd_uniform(mass, p)
         for t in SCAN_THRESHOLDS:
             if crossings[t] is None and tvd < t:
                 crossings[t] = n
-    return {
-        "p": p,
-        "log2_p": math.log2(p),
-        "cross_075": crossings[0.75],
-        "cross_050": crossings[0.5],
-        "cross_025": crossings[0.25],
-        "cross_005": crossings[0.05],
-        "pred_support": bounds_mod.predict_threshold(p, "support"),
-        "pred_c1_basic": bounds_mod.predict_threshold(p, "c1_basic"),
-        "pred_c1_refined": bounds_mod.predict_threshold(p, "c1_refined"),
-        "pred_c_hat": bounds_mod.predict_threshold(p, "c_hat"),
-    }
-
-
-_SCAN_COLUMNS = (
-    "p",
-    "log2_p",
-    "cross_075",
-    "cross_050",
-    "cross_025",
-    "cross_005",
-    "pred_support",
-    "pred_c1_basic",
-    "pred_c1_refined",
-    "pred_c_hat",
-)
+        if None not in crossings.values():
+            break
+    preds = [bounds_mod.predict_threshold(p, s) for s in _SCAN_SELECTORS]
+    return dict(zip(_SCAN_COLUMNS, (p, math.log2(p), *crossings.values(), *preds)))
 
 
 def cmd_scan(args) -> int:
+    if args.steps is not None and args.steps < 0:
+        raise ValueError(f"step cap {args.steps} is negative")
     dist = _parse_dist(args.dist)
     max_p = args.max_p_override or dist_mod.DEFAULT_MAX_MODULUS
     rows = [_scan_row(p, dist, max_p, args.steps) for p in _scan_moduli(args)]
     if args.format == "csv":
-        lines = [",".join(_SCAN_COLUMNS)]
-        for row in rows:
-            cells = []
-            for col in _SCAN_COLUMNS:
-                v = row[col]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(_fmt(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv(_SCAN_COLUMNS, rows), args.out)
     else:
         _emit_json({"command": "scan", "rows": rows}, args.out)
     return 0
@@ -282,44 +247,32 @@ def cmd_stats(args) -> int:
         report = monte_carlo_frequencies(
             params, args.n, args.trials, args.seed, workers=_workers()
         )
+    d = report.to_dict()
     if args.format == "csv":
-        lines = ["row,col,parity,count,frequency,stderr"]
-        d = report.to_dict()
-        for key, cell in d["cells"].items():
-            row, col, parity = key.split("|")
-            err = "" if cell["stderr"] is None else _fmt(cell["stderr"])
-            lines.append(
-                f"{row},{col},{parity},{cell['count']},{_fmt(cell['frequency'])},{err}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [dict(zip(("row", "col", "parity"), key.split("|")), **cell)
+                for key, cell in d["cells"].items()]
+        _emit(_csv(("row", "col", "parity", "count", "frequency", "stderr"), rows), args.out)
     else:
-        payload = {"command": "stats", "seed": args.seed if args.mode == "mc" else None}
-        payload.update(report.to_dict())
-        _emit_json(payload, args.out)
+        seed = args.seed if args.mode == "mc" else None
+        _emit_json({"command": "stats", "seed": seed, **d}, args.out)
     return 0
 
 
 # ------------------------------------------------------------------ bounds
 
 def cmd_bounds(args) -> int:
-    consts = bounds_mod.compute_constants()
     payload: dict = {
         "command": "bounds",
-        "constants": {
-            "c_hat": consts.c_hat,
-            "c1_basic": consts.c1_basic,
-            "c1_refined": consts.c1_refined,
-            "exponent_basic": consts.exponent_basic,
-            "exponent_refined": consts.exponent_refined,
-        },
+        "constants": asdict(bounds_mod.compute_constants()),
         "c2": {"eps": args.eps, "value": bounds_mod.c2_of_eps(args.eps)},
     }
     if args.n is not None:
         n = args.n
         tail = bounds_mod.binomial_tail_count(n, args.eps)
-        region_r = bounds_mod.multinomial_region_count(bounds_mod.CountRegion("R", n, args.eps))
-        region_s = bounds_mod.multinomial_region_count(bounds_mod.CountRegion("S", n, args.eps))
-        stirling = bounds_mod.stirling_upper_bound(n, args.eps)
+        regions = {
+            kind: bounds_mod.multinomial_region_count(bounds_mod.CountRegion(kind, n, args.eps))
+            for kind in "RS"
+        }
         payload["counts"] = {
             "n": n,
             "eps": args.eps,
@@ -327,21 +280,15 @@ def cmd_bounds(args) -> int:
                 "count": str(tail) if n <= bounds_mod.EXACT_COUNT_MAX_N else None,
                 "log2_count": math.log2(tail),
             },
-            "region_R": {
-                "count": None if region_r.count is None else str(region_r.count),
-                "log2_count": region_r.log2_count,
-                "method": region_r.method,
+            **{
+                f"region_{kind}": {
+                    "count": None if r.count is None else str(r.count),
+                    "log2_count": r.log2_count,
+                    "method": r.method,
+                }
+                for kind, r in regions.items()
             },
-            "region_S": {
-                "count": None if region_s.count is None else str(region_s.count),
-                "log2_count": region_s.log2_count,
-                "method": region_s.method,
-            },
-            "stirling": {
-                "exponent": stirling.exponent,
-                "log2_bound": stirling.log2_bound,
-                "prefactor_degree": stirling.prefactor_degree,
-            },
+            "stirling": asdict(bounds_mod.stirling_upper_bound(n, args.eps)),
         }
     _emit_json(payload, args.out)
     return 0
@@ -352,6 +299,8 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trial count {args.trials} must be at least 1")
+    if args.steps < 0:
+        raise ValueError(f"step count {args.steps} is negative")
     dist = _parse_dist(args.dist)
     params = validate_params(args.p, 2, dist)
     p = params.modulus
@@ -369,9 +318,7 @@ def cmd_simulate(args) -> int:
         x = (2 * x + b) % p
     residues, counts = np.unique(x, return_counts=True)
     # plug-in estimate: visited residues contribute |c/T - 1/p|, the rest 1/p each
-    tvd = 0.5 * (
-        np.abs(counts / args.trials - 1.0 / p).sum() + (p - residues.size) / p
-    )
+    tvd = dist_mod.tvd_uniform(counts / args.trials, p)
     bias_note = (
         "plug-in TVD is biased upward by roughly sqrt(p/(2*pi*trials)) "
         "when trials is not much larger than p"

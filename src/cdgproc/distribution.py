@@ -4,10 +4,16 @@ A distribution is a dense float64 array of length p indexed by residue.
 One step pushes mass along the three bijections x -> m*x + b (mod p),
 b in {-1, 0, 1}; since each map is a permutation of Z/pZ this is exact up
 to float rounding, and the uniform vector is stationary.
+
+`iter_evolve` is the one evolution loop.  Before reduction mod p the endpoint
+after k steps is an integer in [-w_k, w_k], w_0 = 0, w_{k+1} = m*w_k + 1 (the
+trivial support bound), so while the next window has fewer than p values only
+that window is evolved; it is embedded into the dense vector once, at the switch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,7 @@ __all__ = [
     "evolve",
     "evolve_with_trace",
     "initial_dist",
+    "iter_evolve",
     "step",
     "support_size",
     "tvd_uniform",
@@ -53,48 +60,99 @@ def _check_modulus(p: int, max_modulus: int) -> None:
 def initial_dist(p: int, max_modulus: int = DEFAULT_MAX_MODULUS) -> np.ndarray:
     """Point mass at residue 0 (the walk starts at x = 0)."""
     _check_modulus(p, max_modulus)
-    mass = np.zeros(p, dtype=np.float64)
-    mass[0] = 1.0
-    return mass
+    return _embed(np.ones(1), p)
 
 
-def _doubling_permutation(p: int, multiplier: int) -> np.ndarray:
-    # gather index: new[y] reads old[y * m^-1 mod p]
-    inv = pow(multiplier, -1, p)
-    return (np.arange(p, dtype=np.int64) * inv) % p
+def _apply_step(
+    dist: np.ndarray, params: ProcessParams, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """One step of `dist` written into `out`, which is returned.
 
-
-def _apply_step(dist: np.ndarray, params: ProcessParams, perm: np.ndarray) -> np.ndarray:
-    q = params.increments
-    d = dist[perm]
-    out = q.q_zero * d
-    out += q.q_plus1 * np.roll(d, 1)
-    out += q.q_minus1 * np.roll(d, -1)
+    A `dist` shorter than `out` is a window: it holds the integers -w..w and
+    `out` the integers -(m*w + 1)..(m*w + 1).  Otherwise both are dense, and
+    `dist` is overwritten.  The old masses are first laid out in `scratch` as
+    d, with new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod len(out)).
+    """
+    q, p = params.increments, params.modulus
+    m = params.multiplier % p
+    d = scratch[: out.size]
+    if out.size != dist.size:  # the integer i - w lands on m*(i - w), index m*i + 1 of out
+        d.fill(0.0)
+        d[1 : m * (dist.size - 1) + 2 : m] = dist
+        t = np.empty(out.size - 1)
+    else:
+        if m == 2:  # new[2j] reads old[j] and new[2j + 1] reads old[h + j], h = (p + 1)/2
+            d[0::2], d[1::2] = dist[: (p + 1) // 2], dist[(p + 1) // 2 :]
+        else:
+            np.take(dist, np.arange(p, dtype=np.int64) * pow(m, -1, p) % p, out=d)
+        t = dist[1:]  # every old mass is in d now
+    head, tail = out[:-1], out[1:]
+    np.multiply(d, q.q_zero, out=out)
+    tail += np.multiply(d[:-1], q.q_plus1, out=t)
+    out[0] += q.q_plus1 * d[-1]
+    head += np.multiply(d[1:], q.q_minus1, out=t)
+    out[-1] += q.q_minus1 * d[0]
     return out
+
+
+def _embed(mass: np.ndarray, p: int) -> np.ndarray:
+    """The dense vector of a window (integers -w..w); a dense `mass` is returned as is."""
+    if mass.size == p:
+        return mass
+    w = mass.size // 2
+    dense = np.zeros(p, dtype=np.float64)
+    dense[: w + 1], dense[p - w :] = mass[w:], mass[:w]
+    return dense
+
+
+def iter_evolve(
+    params: ProcessParams, n: int, max_modulus: int = DEFAULT_MAX_MODULUS
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k, mass) for k = 0..n, starting from the point mass at 0.
+
+    A `mass` shorter than p holds the integers -w..w in order (the window
+    phase); every other residue has mass 0, which the functionals allow for
+    (pass p to `tvd_uniform`).  Otherwise `mass` is the dense vector.  It is a
+    reused buffer that the next step overwrites: copy it to keep it.
+    """
+    if n < 0:
+        raise ValueError(f"step count {n} is negative")
+    p = params.modulus
+    _check_modulus(p, max_modulus)
+    m = params.multiplier % p
+    mass, scratch = np.ones(1, dtype=np.float64), np.empty(p)
+    k = w = 0
+    yield k, mass
+    while k < n and 2 * (m * w + 1) + 1 < p:
+        w = m * w + 1
+        mass = _apply_step(mass, params, np.empty(2 * w + 1), scratch)
+        k += 1
+        yield k, mass
+    mass, out = _embed(mass, p), np.empty(p)
+    while k < n:
+        mass, out = _apply_step(mass, params, out, scratch), mass
+        k += 1
+        yield k, mass
 
 
 def step(dist: np.ndarray, params: ProcessParams) -> np.ndarray:
     """One exact step of the distribution under the walk."""
-    dist = np.asarray(dist, dtype=np.float64)
+    dist = np.array(dist, dtype=np.float64)  # a copy: the step overwrites it
     p = params.modulus
     if dist.shape != (p,):
         raise ModulusMismatchError(
             f"distribution has length {dist.shape}, parameters have modulus {p}"
         )
-    return _apply_step(dist, params, _doubling_permutation(p, params.multiplier))
+    return _apply_step(dist, params, np.empty(p), np.empty(p))
 
 
 def evolve(
     params: ProcessParams, n: int, max_modulus: int = DEFAULT_MAX_MODULUS
 ) -> np.ndarray:
     """Distribution after n steps from the point mass at 0."""
-    if n < 0:
-        raise ValueError(f"step count {n} is negative")
-    dist = initial_dist(params.modulus, max_modulus)
-    perm = _doubling_permutation(params.modulus, params.multiplier)
-    for _ in range(n):
-        dist = _apply_step(dist, params, perm)
-    return dist
+    for _, mass in iter_evolve(params, n, max_modulus):
+        pass
+    return _embed(mass, params.modulus)
 
 
 @dataclass(frozen=True)
@@ -118,32 +176,24 @@ def evolve_with_trace(
 
     The trace includes step 0; the typical-set column uses mass 1 - delta.
     """
-    if n < 0:
-        raise ValueError(f"step count {n} is negative")
-    dist = initial_dist(params.modulus, max_modulus)
-    perm = _doubling_permutation(params.modulus, params.multiplier)
-    rows = [_trace_row(0, dist, delta)]
-    for k in range(1, n + 1):
-        dist = _apply_step(dist, params, perm)
-        rows.append(_trace_row(k, dist, delta))
-    return dist, rows
+    p = params.modulus
+    rows = []
+    for k, mass in iter_evolve(params, n, max_modulus):
+        rows.append(TraceRow(k, tvd_uniform(mass, p), entropy_bits(mass), support_size(mass),
+                             typical_set_size(mass, delta)))
+    return _embed(mass, p), rows
 
 
-def _trace_row(k: int, dist: np.ndarray, delta: float) -> TraceRow:
-    return TraceRow(
-        step=k,
-        tvd=tvd_uniform(dist),
-        entropy_bits=entropy_bits(dist),
-        support=support_size(dist),
-        typical=typical_set_size(dist, delta),
-    )
+def tvd_uniform(dist: np.ndarray, p: int | None = None) -> float:
+    """Total variation distance from uniform: 0.5 * sum |mass(s) - 1/p|.
 
-
-def tvd_uniform(dist: np.ndarray) -> float:
-    """Total variation distance from uniform: 0.5 * sum |mass(s) - 1/p|."""
+    `p` defaults to len(dist); the p - len(dist) residues missing from `dist` have mass 0.
+    """
     dist = np.asarray(dist, dtype=np.float64)
-    p = dist.size
-    return float(0.5 * np.abs(dist - 1.0 / p).sum())
+    p = dist.size if p is None else p
+    dev = dist - 1.0 / p
+    np.abs(dev, out=dev)
+    return float(0.5 * (dev.sum() + (p - dist.size) / p))
 
 
 def entropy_bits(dist: np.ndarray) -> float:

@@ -71,6 +71,8 @@ class IncrementDistribution:
 
     def __post_init__(self) -> None:
         qs = self.as_tuple()
+        if not all(math.isfinite(q) for q in qs):
+            raise BadDistributionError(f"non-finite probability in {qs}")
         if any(q < 0 for q in qs):
             raise BadDistributionError(f"negative probability in {qs}")
         if abs(sum(qs) - 1.0) > DIST_TOLERANCE:

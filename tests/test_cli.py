@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from cdgproc.cli import build_parser, is_prime, main
+from cdgproc.cli import _emit_json, build_parser, is_prime, main
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def run_json(capsys, schema, *argv):
@@ -159,6 +164,24 @@ class TestScan:
     def test_needs_primes_or_range(self, capsys):
         code, _, err = run_cli(capsys, "scan")
         assert code == 1 and "error" in err
+
+    def test_zero_step_cap_is_honoured(self, capsys, schema):
+        payload = run_json(
+            capsys, schema, "scan", "--primes", "3,101", "--steps", "0", "--format", "json"
+        )
+        for row in payload["rows"]:
+            crossings = [row[f"cross_{t}"] for t in ("075", "050", "025", "005")]
+            assert crossings == [None] * 4
+
+    def test_cap_beyond_last_crossing_matches_default(self, capsys, schema):
+        capped = run_json(capsys, schema, "scan", "--primes", "101", "--steps", "500",
+                          "--format", "json")
+        default = run_json(capsys, schema, "scan", "--primes", "101", "--format", "json")
+        assert capped == default
+
+    def test_negative_step_cap_is_error(self, capsys):
+        code, _, err = run_cli(capsys, "scan", "--primes", "101", "--steps", "-1")
+        assert_one_line_error(code, err)
 
 
 class TestCanon:
@@ -304,6 +327,30 @@ class TestSimulate:
         assert lines[0].startswith("# p=11")
         assert any(line.startswith("# tvd_estimate=") for line in lines)
         assert "residue,count" in lines
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("dist", ["1/0,0,1", "0/0,0,1", "nan,0,1", "1/nan,0,1", "inf,0,1"])
+    @pytest.mark.parametrize("command", [
+        ("evolve", "--p", "11", "--steps", "2"),
+        ("scan", "--primes", "11"),
+        ("simulate", "--p", "11", "--steps", "2", "--trials", "10"),
+    ])
+    def test_bad_dist_is_one_line_error(self, capsys, command, dist):
+        code, _, err = run_cli(capsys, *command, "--dist", dist, "--format", "json")
+        assert_one_line_error(code, err)
+
+    def test_simulate_negative_steps_is_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--p", "101", "--steps", "-5", "--trials", "10"
+        )
+        assert_one_line_error(code, err)
+        assert out == ""
+
+    def test_json_refuses_nan(self, capsys):
+        with pytest.raises(ValueError):
+            _emit_json({"tvd": float("nan")}, None)
+        assert capsys.readouterr().out == ""
 
 
 class TestEntryPoint:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdgproc.distribution import (
     ModulusMismatchError,
@@ -10,6 +12,7 @@ from cdgproc.distribution import (
     evolve,
     evolve_with_trace,
     initial_dist,
+    iter_evolve,
     step,
     support_size,
     tvd_uniform,
@@ -72,6 +75,41 @@ class TestStep:
         out = step(initial_dist(7), params)
         np.testing.assert_allclose(out[[6, 0, 1]], 1 / 3)
 
+    @pytest.mark.parametrize("multiplier", [2, 3])
+    def test_matches_gather_and_roll_reference(self, multiplier):
+        # the arithmetic of the step is unchanged, so the results are equal, not close
+        for p in (5, 7, 31, 101, 1021):
+            params = validate_params(p, multiplier, (0.2, 0.5, 0.3))
+            q = params.increments
+            dist = np.random.default_rng(p).random(p)
+            d = dist[(np.arange(p) * pow(multiplier, -1, p)) % p]
+            expected = q.q_zero * d
+            expected += q.q_plus1 * np.roll(d, 1)
+            expected += q.q_minus1 * np.roll(d, -1)
+            np.testing.assert_array_equal(step(dist, params), expected)
+
+    def test_does_not_mutate_input(self):
+        dist = evolve(validate_params(31), 6)
+        before = dist.copy()
+        step(dist, validate_params(31))
+        np.testing.assert_array_equal(dist, before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half=st.integers(1, 4000),
+        multiplier=st.sampled_from([2, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_conserves_mass_and_fixes_uniform(self, half, multiplier, seed):
+        p = 2 * half + 1
+        assume(math.gcd(multiplier, p) == 1)
+        params = validate_params(p, multiplier, (0.2, 0.5, 0.3))
+        dist = np.random.default_rng(seed).random(p)
+        dist /= dist.sum()
+        assert abs(step(dist, params).sum() - 1.0) <= 1e-12
+        u = np.full(p, 1 / p)
+        assert np.abs(step(u, params) - u).max() <= 1e-14
+
 
 class TestEvolve:
     def test_zero_steps(self):
@@ -94,6 +132,27 @@ class TestEvolve:
             for n in range(0, 8):
                 expected = brute_force_distribution(p, n, q)
                 np.testing.assert_allclose(evolve(params, n), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [(1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5), (0.2, 0.5, 0.3)])
+    @pytest.mark.parametrize("multiplier", [2, 3])
+    def test_oracle_across_window_switch(self, q, multiplier):
+        # n runs past the switch from the integer window to the dense vector
+        for p in (3, 5, 7, 9, 15, 17, 31, 33, 63, 65):
+            if math.gcd(multiplier, p) != 1:
+                continue
+            params = validate_params(p, multiplier, q)
+            for n in range(0, 10):
+                expected = brute_force_distribution(p, n, q, multiplier)
+                assert np.abs(evolve(params, n) - expected).max() <= 1e-12, (p, n)
+
+    @pytest.mark.parametrize("multiplier", [2, 3])
+    def test_window_phase_equals_dense_steps(self, multiplier):
+        for p in (7, 17, 31, 65, 1021):
+            params = validate_params(p, multiplier, (0.2, 0.5, 0.3))
+            dist = initial_dist(p)
+            for n in range(1, 14):
+                dist = step(dist, params)
+                np.testing.assert_array_equal(evolve(params, n), dist)
 
     def test_matches_enumeration_oracle_multiplier_three(self):
         params = validate_params(11, 3)
@@ -121,9 +180,40 @@ class TestEvolve:
             dist = step(dist, params)
 
 
+class TestIterEvolve:
+    def test_window_phase_then_dense(self):
+        # windows hold 2^(k+1) - 1 integers while the next one has fewer than p
+        sizes = [mass.size for _, mass in iter_evolve(validate_params(65), 8)]
+        assert sizes == [1, 3, 7, 15, 31, 63, 65, 65, 65]
+        sizes = [mass.size for _, mass in iter_evolve(validate_params(63), 6)]
+        assert sizes == [1, 3, 7, 15, 31, 63, 63]
+
+    def test_window_order_is_integer_order(self):
+        # after two steps the window holds the integers -3..3
+        _, mass = list(iter_evolve(validate_params(101), 2))[-1]
+        np.testing.assert_allclose(mass * 9, [1, 1, 2, 1, 2, 1, 1])
+
+    def test_yields_every_step(self):
+        assert [k for k, _ in iter_evolve(validate_params(31), 12)] == list(range(13))
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError):
+            next(iter_evolve(validate_params(5), -1))
+
+    def test_memory_guard(self):
+        with pytest.raises(ModulusTooLargeError):
+            next(iter_evolve(validate_params(101), 3, max_modulus=99))
+
+
 class TestFunctionals:
     def test_tvd_point_mass(self):
         assert tvd_uniform(initial_dist(101)) == pytest.approx(1 - 1 / 101, abs=1e-15)
+
+    def test_tvd_counts_missing_residues(self):
+        window = np.array([0.25, 0.5, 0.25])
+        dense = np.zeros(101)
+        dense[[100, 0, 1]] = window
+        assert tvd_uniform(window, 101) == pytest.approx(tvd_uniform(dense), abs=1e-15)
 
     def test_tvd_uniform_zero(self):
         assert tvd_uniform(np.full(101, 1 / 101)) == pytest.approx(0.0, abs=1e-15)
@@ -201,3 +291,15 @@ class TestTrace:
         np.testing.assert_allclose(final, dist)
         assert rows[-1].tvd == pytest.approx(tvd_uniform(dist), abs=1e-15)
         assert rows[-1].typical == typical_set_size(dist, 0.05)
+
+    @pytest.mark.parametrize("p", [5, 31, 33, 1021])
+    def test_every_row_matches_functionals_of_evolve(self, p):
+        params = validate_params(p, 2, (0.2, 0.5, 0.3))
+        final, rows = evolve_with_trace(params, 16, delta=0.05)
+        np.testing.assert_array_equal(final, evolve(params, 16))
+        for row in rows:
+            dist = evolve(params, row.step)
+            assert row.tvd == pytest.approx(tvd_uniform(dist), abs=1e-15)
+            assert row.entropy_bits == pytest.approx(entropy_bits(dist), rel=1e-13, abs=1e-15)
+            assert row.support == support_size(dist)
+            assert row.typical == typical_set_size(dist, 0.05)

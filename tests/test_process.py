@@ -51,6 +51,13 @@ class TestValidateParams:
         with pytest.raises(BadDistributionError):
             IncrementDistribution(*qs)
 
+    @pytest.mark.parametrize(
+        "qs", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (-math.inf, 1.0, math.inf)]
+    )
+    def test_non_finite_distribution_rejected(self, qs):
+        with pytest.raises(BadDistributionError, match="non-finite"):
+            IncrementDistribution(*qs)
+
     def test_multiplier_three_on_coprime_modulus(self):
         assert validate_params(7, 3).multiplier == 3
 
