@@ -49,7 +49,6 @@ from .process import (
     format_digits,
     parse_digits,
     sample_trajectory,
-    validate_params,
     value_of,
 )
 from .stats import (
@@ -111,6 +110,5 @@ __all__ = [
     "support_size",
     "tvd_uniform",
     "typical_set_size",
-    "validate_params",
     "value_of",
 ]

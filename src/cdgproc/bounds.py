@@ -69,9 +69,6 @@ class BoundConstants:
     exponent_basic: float
     exponent_refined: float
 
-    def c2_of_eps(self, eps: float) -> float:
-        return c2_of_eps(eps)
-
 
 def compute_constants() -> BoundConstants:
     """Evaluate all closed-form rate constants at double precision."""

@@ -23,9 +23,9 @@ from . import distribution as dist_mod
 from .canonical import SequenceClass, canonicalize, decompose_blocks
 from .process import (
     IncrementDistribution,
+    ProcessParams,
     format_digits,
     parse_digits,
-    validate_params,
     value_of,
 )
 from .stats import exhaustive_expectations, monte_carlo_frequencies
@@ -38,6 +38,9 @@ SCAN_THRESHOLDS = (0.75, 0.5, 0.25, 0.05)
 _SCAN_SELECTORS = ("support", "c1_basic", "c1_refined", "c_hat")
 _SCAN_COLUMNS = ("p", "log2_p", "cross_075", "cross_050", "cross_025", "cross_005",
                  *(f"pred_{s}" for s in _SCAN_SELECTORS))
+
+#: evolve keeps every trace row and the whole output text in memory, about 1.5 KB a step
+MAX_TRACE_STEPS = 100_000
 
 #: moduli above this cannot be simulated with int64 arithmetic
 SIMULATE_MAX_MODULUS = 1 << 61
@@ -129,9 +132,10 @@ _EVOLVE_COLUMNS = ("step", "tvd", "entropy_bits", "support", "typical99")
 
 
 def cmd_evolve(args) -> int:
-    params = validate_params(args.p, 2, _parse_dist(args.dist))
-    max_p = args.max_p_override or dist_mod.DEFAULT_MAX_MODULUS
-    _, rows = dist_mod.evolve_with_trace(params, args.steps, args.delta, max_p)
+    if args.steps > MAX_TRACE_STEPS:
+        raise ValueError(f"step count {args.steps} exceeds the trace limit {MAX_TRACE_STEPS}")
+    params = ProcessParams(args.p, _parse_dist(args.dist))
+    _, rows = dist_mod.evolve_with_trace(params, args.steps, args.delta, args.max_p_override)
     trace = [
         dict(zip(_EVOLVE_COLUMNS, (r.step, r.tvd, r.entropy_bits, r.support, r.typical)))
         for r in rows
@@ -175,7 +179,7 @@ def _scan_moduli(args) -> list[int]:
 
 
 def _scan_row(p: int, dist: IncrementDistribution, max_p: int, cap: int | None) -> dict:
-    params = validate_params(p, 2, dist)
+    params = ProcessParams(p, dist)
     limit = cap if cap is not None else 4 * math.ceil(math.log2(p)) + 64
     crossings: dict[float, int | None] = dict.fromkeys(SCAN_THRESHOLDS)
     for n, mass in dist_mod.iter_evolve(params, limit, max_p):
@@ -195,8 +199,7 @@ def cmd_scan(args) -> int:
     if args.steps is not None and args.steps < 0:
         raise ValueError(f"step cap {args.steps} is negative")
     dist = _parse_dist(args.dist)
-    max_p = args.max_p_override or dist_mod.DEFAULT_MAX_MODULUS
-    rows = [_scan_row(p, dist, max_p, args.steps) for p in _scan_moduli(args)]
+    rows = [_scan_row(p, dist, args.max_p_override, args.steps) for p in _scan_moduli(args)]
     if args.format == "csv":
         _emit(_csv(_SCAN_COLUMNS, rows), args.out)
     else:
@@ -243,10 +246,7 @@ def cmd_stats(args) -> int:
         cls = SequenceClass(args.cls)
         report = exhaustive_expectations(args.n, cls, workers=_workers())
     else:
-        params = validate_params(args.p, 2, _parse_dist(args.dist))
-        report = monte_carlo_frequencies(
-            params, args.n, args.trials, args.seed, workers=_workers()
-        )
+        report = monte_carlo_frequencies(args.n, args.trials, args.seed, workers=_workers())
     d = report.to_dict()
     if args.format == "csv":
         rows = [dict(zip(("row", "col", "parity"), key.split("|")), **cell)
@@ -302,8 +302,7 @@ def cmd_simulate(args) -> int:
     if args.steps < 0:
         raise ValueError(f"step count {args.steps} is negative")
     dist = _parse_dist(args.dist)
-    params = validate_params(args.p, 2, dist)
-    p = params.modulus
+    p = ProcessParams(args.p, dist).modulus
     if p > SIMULATE_MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds the int64 simulation limit")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--dist", default="1/3,1/3,1/3", help="q-1,q0,q1")
     sp.add_argument("--delta", type=float, default=0.01, help="typical-set tail mass")
-    sp.add_argument("--max-p-override", type=int, default=None)
+    sp.add_argument("--max-p-override", type=int, default=dist_mod.DEFAULT_MAX_MODULUS)
     add_common(sp, "csv")
     sp.set_defaults(func=cmd_evolve)
 
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=None, help="cap on evolved steps")
     sp.add_argument("--dist", default="1/3,1/3,1/3")
     sp.add_argument("--allow-composite", action="store_true")
-    sp.add_argument("--max-p-override", type=int, default=None)
+    sp.add_argument("--max-p-override", type=int, default=dist_mod.DEFAULT_MAX_MODULUS)
     add_common(sp, "csv")
     sp.set_defaults(func=cmd_scan)
 
@@ -399,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=12)
     sp.add_argument("--cls", choices=("first_one", "first_minus_one"),
                     default="first_one", help="conditioning class (exhaustive mode)")
-    sp.add_argument("--p", type=int, default=3, help="modulus (unused by statistics)")
-    sp.add_argument("--dist", default="1/3,1/3,1/3")
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     add_common(sp, "json")
@@ -428,8 +425,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

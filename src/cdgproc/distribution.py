@@ -1,12 +1,12 @@
 """Exact evolution of the walk's distribution on Z/pZ and its functionals.
 
 A distribution is a dense float64 array of length p indexed by residue.
-One step pushes mass along the three bijections x -> m*x + b (mod p),
+One step pushes mass along the three bijections x -> 2*x + b (mod p),
 b in {-1, 0, 1}; since each map is a permutation of Z/pZ this is exact up
 to float rounding, and the uniform vector is stationary.
 
 `iter_evolve` is the one evolution loop.  Before reduction mod p the endpoint
-after k steps is an integer in [-w_k, w_k], w_0 = 0, w_{k+1} = m*w_k + 1 (the
+after k steps is an integer in [-w_k, w_k], w_0 = 0, w_{k+1} = 2*w_k + 1 (the
 trivial support bound), so while the next window has fewer than p values only
 that window is evolved; it is embedded into the dense vector once, at the switch.
 """
@@ -69,22 +69,18 @@ def _apply_step(
     """One step of `dist` written into `out`, which is returned.
 
     A `dist` shorter than `out` is a window: it holds the integers -w..w and
-    `out` the integers -(m*w + 1)..(m*w + 1).  Otherwise both are dense, and
+    `out` the integers -(2*w + 1)..(2*w + 1).  Otherwise both are dense, and
     `dist` is overwritten.  The old masses are first laid out in `scratch` as
     d, with new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod len(out)).
     """
     q, p = params.increments, params.modulus
-    m = params.multiplier % p
     d = scratch[: out.size]
-    if out.size != dist.size:  # the integer i - w lands on m*(i - w), index m*i + 1 of out
+    if out.size != dist.size:  # the integer i - w lands on 2*(i - w), index 2*i + 1 of out
         d.fill(0.0)
-        d[1 : m * (dist.size - 1) + 2 : m] = dist
+        d[1 : 2 * dist.size : 2] = dist
         t = np.empty(out.size - 1)
-    else:
-        if m == 2:  # new[2j] reads old[j] and new[2j + 1] reads old[h + j], h = (p + 1)/2
-            d[0::2], d[1::2] = dist[: (p + 1) // 2], dist[(p + 1) // 2 :]
-        else:
-            np.take(dist, np.arange(p, dtype=np.int64) * pow(m, -1, p) % p, out=d)
+    else:  # new[2j] reads old[j] and new[2j + 1] reads old[h + j], h = (p + 1)/2
+        d[0::2], d[1::2] = dist[: (p + 1) // 2], dist[(p + 1) // 2 :]
         t = dist[1:]  # every old mass is in d now
     head, tail = out[:-1], out[1:]
     np.multiply(d, q.q_zero, out=out)
@@ -119,12 +115,11 @@ def iter_evolve(
         raise ValueError(f"step count {n} is negative")
     p = params.modulus
     _check_modulus(p, max_modulus)
-    m = params.multiplier % p
     mass, scratch = np.ones(1, dtype=np.float64), np.empty(p)
     k = w = 0
     yield k, mass
-    while k < n and 2 * (m * w + 1) + 1 < p:
-        w = m * w + 1
+    while k < n and 2 * (2 * w + 1) + 1 < p:
+        w = 2 * w + 1
         mass = _apply_step(mass, params, np.empty(2 * w + 1), scratch)
         k += 1
         yield k, mass

@@ -1,9 +1,9 @@
-"""Chain definition and trajectory sampling for x_{k+1} = m*x_k + b_k (mod p).
+"""Chain definition and trajectory sampling for x_{k+1} = 2*x_k + b_k (mod p).
 
 The increments b_k are i.i.d. on {-1, 0, 1}.  A length-n increment string
 (b_0, ..., b_{n-1}) determines the endpoint exactly:
 
-    X_n = sum_i  m^(n-1-i) * b_i   (before reduction mod p)
+    X_n = sum_i  2^(n-1-i) * b_i   (before reduction mod p)
 
 so trajectories, endpoint values and digit strings are interchangeable here.
 """
@@ -22,14 +22,12 @@ __all__ = [
     "EvenModulusError",
     "IncrementDistribution",
     "ModulusTooSmallError",
-    "NonInvertibleMultiplierError",
     "ProcessParams",
     "UNIFORM_INCREMENTS",
     "as_digit_array",
     "format_digits",
     "parse_digits",
     "sample_trajectory",
-    "validate_params",
     "value_of",
 ]
 
@@ -47,10 +45,6 @@ class EvenModulusError(ValueError):
 
 class ModulusTooSmallError(ValueError):
     """The modulus must be at least 3."""
-
-
-class NonInvertibleMultiplierError(ValueError):
-    """The multiplier shares a factor with the modulus."""
 
 
 class BadDigitError(ValueError):
@@ -92,10 +86,9 @@ UNIFORM_INCREMENTS = IncrementDistribution(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 @dataclass(frozen=True)
 class ProcessParams:
-    """Parameters of the walk x_{k+1} = multiplier*x_k + b_k (mod modulus), x_0 = 0."""
+    """Parameters of the walk x_{k+1} = 2*x_k + b_k (mod modulus), x_0 = 0."""
 
     modulus: int
-    multiplier: int = 2
     increments: IncrementDistribution = UNIFORM_INCREMENTS
 
     def __post_init__(self) -> None:
@@ -104,18 +97,6 @@ class ProcessParams:
             raise ModulusTooSmallError(f"modulus {p} is below 3")
         if p % 2 == 0:
             raise EvenModulusError(f"modulus {p} is even")
-        if math.gcd(self.multiplier, p) != 1:
-            raise NonInvertibleMultiplierError(
-                f"multiplier {self.multiplier} is not invertible mod {p}"
-            )
-
-
-def validate_params(modulus, multiplier=2, increments=(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)):
-    """Build ProcessParams from raw values, raising a specific error per violation."""
-    if not isinstance(increments, IncrementDistribution):
-        qm1, q0, q1 = increments
-        increments = IncrementDistribution(float(qm1), float(q0), float(q1))
-    return ProcessParams(int(modulus), int(multiplier), increments)
 
 
 def as_digit_array(digits) -> np.ndarray:
@@ -186,8 +167,7 @@ def sample_trajectory(params: ProcessParams, n: int, seed) -> tuple[np.ndarray, 
         digits = rng.choice(
             np.array([-1, 0, 1], dtype=np.int8), size=n, p=list(q.as_tuple())
         ).astype(np.int8)
-    x = 0
-    m, p = params.multiplier, params.modulus
+    x, p = 0, params.modulus
     for b in digits.tolist():
-        x = (m * x + b) % p
+        x = (2 * x + b) % p
     return digits, x

@@ -29,7 +29,7 @@ from .canonical import (
     _first_nonzero_sign,
     _ROW_LUT,
 )
-from .process import IncrementDistribution, ProcessParams, as_digit_array
+from .process import IncrementDistribution, as_digit_array
 
 __all__ = [
     "AllZeroInputError",
@@ -164,7 +164,6 @@ class FrequencyReport:
     counts: np.ndarray
     freq_mean: np.ndarray
     freq_stderr: np.ndarray | None
-    trial_freqs: np.ndarray | None = None
 
     @property
     def combined_freq(self) -> np.ndarray:
@@ -308,21 +307,15 @@ def exhaustive_expectations(
     )
 
 
-def monte_carlo_frequencies(
-    params: ProcessParams, n: int, trials: int, seed, workers: int = 1
-) -> FrequencyReport:
+def monte_carlo_frequencies(n: int, trials: int, seed, workers: int = 1) -> FrequencyReport:
     """Seeded Monte Carlo estimate of the pair-table cell frequencies.
 
-    Requires multiplier 2 and the uniform increment law (the standard-form
-    pair analysis is specific to that setting).  Each trial draws its own
-    substream, so the result depends only on (seed, trial index), never on
-    chunking or worker count.  All-zero draws are discarded; first-minus-1
-    draws are negated and pooled with first-1 draws.
+    Digits are drawn from the uniform law on {-1, 0, 1}, the setting of the
+    standard-form pair analysis.  Each trial draws its own substream, so the
+    result depends only on (seed, trial index), never on chunking or worker
+    count.  All-zero draws are discarded; first-minus-1 draws are negated and
+    pooled with first-1 draws.
     """
-    if params.multiplier != 2:
-        raise ValueError("pair statistics require multiplier 2")
-    if not params.increments.is_uniform_thirds:
-        raise ValueError("pair statistics require the uniform increment law")
     if n < 2:
         raise ValueError(f"length {n} must be at least 2")
     if trials < 1:
@@ -362,7 +355,6 @@ def monte_carlo_frequencies(
         counts=per_trial.sum(axis=0),
         freq_mean=freq_mean,
         freq_stderr=freq_stderr,
-        trial_freqs=trial_freqs,
     )
 
 

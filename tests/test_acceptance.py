@@ -21,15 +21,13 @@ from cdgproc.bounds import (
 from cdgproc.canonical import SequenceClass, TABLE_LIMITS, _canonicalize_matrix
 from cdgproc.cli import main
 from cdgproc.distribution import initial_dist, step, tvd_uniform
-from cdgproc.process import validate_params, value_of
+from cdgproc.process import IncrementDistribution, ProcessParams, value_of
 from cdgproc.stats import (
     event_probabilities,
     exhaustive_expectations,
     monte_carlo_frequencies,
 )
 from oracles import all_digit_matrix, bigint_canonical, brute_force_distribution
-
-UNIFORM = validate_params(101)
 
 
 @contextmanager
@@ -73,7 +71,7 @@ def test_02_no_ones_pair_after_raw_one_nononone():
 
 def test_03_pair_table_monte_carlo():
     with criterion(3, "pair-table-frequencies-mc", 120):
-        report = monte_carlo_frequencies(UNIFORM, 10**5, 200, seed=20260810)
+        report = monte_carlo_frequencies(10**5, 200, seed=20260810)
         cell_dev = np.abs(report.combined_freq - TABLE_LIMITS)
         assert cell_dev.max() <= 0.005, f"worst cell deviation {cell_dev.max():.5f}"
         col_dev = np.abs(report.column_sums - np.array([4, 5, 4, 5]) / 18)
@@ -107,7 +105,7 @@ def test_05_exact_evolution_oracle():
         from cdgproc.distribution import evolve
 
         for p in range(3, 32, 2):
-            params = validate_params(p)
+            params = ProcessParams(p)
             for n in range(0, 11):
                 expected = brute_force_distribution(p, n)
                 got = evolve(params, n)
@@ -115,14 +113,14 @@ def test_05_exact_evolution_oracle():
         # one biased-law spot check of the weighted enumeration
         q = (0.2, 0.5, 0.3)
         expected = brute_force_distribution(31, 9, q)
-        got = evolve(validate_params(31, 2, q), 9)
+        got = evolve(ProcessParams(31, IncrementDistribution(*q)), 9)
         assert np.abs(got - expected).max() <= 1e-12
 
 
 def test_06_support_bound_inequality():
     with criterion(6, "support-bound-p10007", 1):
         p = 10007
-        params = validate_params(p)
+        params = ProcessParams(p)
         dist = initial_dist(p)
         for n in range(13):
             assert tvd_uniform(dist) >= 1 - (2 ** (n + 1) - 1) / p - 1e-12, n
@@ -132,7 +130,7 @@ def test_06_support_bound_inequality():
 def test_07_monotone_mass_stationary():
     with criterion(7, "monotonicity-mass-stationarity", 1):
         p = 101
-        params = validate_params(p)
+        params = ProcessParams(p)
         dist = initial_dist(p)
         prev = tvd_uniform(dist)
         for _ in range(200):
@@ -206,7 +204,7 @@ def test_10_scan_first_crossings(tmp_path):
             assert row["pred_c1_basic"] <= row["pred_c1_refined"] <= row["pred_c_hat"]
         # the support bound pins tvd near 1 below log2(p) steps, at every scanned p
         for p in primes:
-            params = validate_params(p)
+            params = ProcessParams(p)
             dist = initial_dist(p)
             for n in range(math.floor(math.log2(p))):
                 assert tvd_uniform(dist) >= 1 - (2 ** (n + 1) - 1) / p - 1e-12, (p, n)

@@ -7,7 +7,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from cdgproc.cli import _emit_json, build_parser, is_prime, main
+from cdgproc import cli
+from cdgproc.cli import MAX_TRACE_STEPS, _emit_json, build_parser, is_prime, main
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,20 @@ class TestEvolve:
             capsys, "evolve", "--p", "101", "--steps", "1", "--max-p-override", "101"
         )
         assert code == 0 and len(out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("command", [("evolve", "--p", "101", "--steps", "1"),
+                                         ("scan", "--primes", "101")])
+    def test_memory_guard_override_zero_is_honoured(self, capsys, command):
+        code, _, err = run_cli(capsys, *command, "--max-p-override", "0")
+        assert_one_line_error(code, err)
+        assert "exceeds guard 0" in err
+
+    def test_step_count_above_trace_limit_is_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "evolve", "--p", "3", "--steps", str(MAX_TRACE_STEPS + 1)
+        )
+        assert_one_line_error(code, err)
+        assert out == ""
 
     def test_even_modulus_error(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "--p", "100", "--steps", "1")
@@ -346,6 +361,17 @@ class TestInputContract:
         )
         assert_one_line_error(code, err)
         assert out == ""
+
+    def test_memory_error_is_one_line_error(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_simulate", exhausted)
+        code, out, err = run_cli(
+            capsys, "simulate", "--p", "3", "--steps", "1", "--trials", "10"
+        )
+        assert_one_line_error(code, err)
+        assert "Unable to allocate" in err and out == ""
 
     def test_json_refuses_nan(self, capsys):
         with pytest.raises(ValueError):

@@ -10,13 +10,12 @@ from cdgproc.process import (
     EvenModulusError,
     IncrementDistribution,
     ModulusTooSmallError,
-    NonInvertibleMultiplierError,
+    ProcessParams,
     UNIFORM_INCREMENTS,
     as_digit_array,
     format_digits,
     parse_digits,
     sample_trajectory,
-    validate_params,
     value_of,
 )
 from oracles import horner_value
@@ -24,25 +23,21 @@ from oracles import horner_value
 
 class TestValidateParams:
     def test_canonical_setting(self):
-        params = validate_params(101, 2, (1 / 3, 1 / 3, 1 / 3))
+        params = ProcessParams(101, IncrementDistribution(1 / 3, 1 / 3, 1 / 3))
         assert params.modulus == 101
-        assert params.multiplier == 2
+        assert params == ProcessParams(101)
         assert params.increments.is_uniform_thirds
 
     def test_even_modulus_rejected(self):
         with pytest.raises(EvenModulusError):
-            validate_params(100, 2, (1 / 3, 1 / 3, 1 / 3))
+            ProcessParams(100, IncrementDistribution(1 / 3, 1 / 3, 1 / 3))
 
     def test_small_modulus_rejected(self):
         with pytest.raises(ModulusTooSmallError):
-            validate_params(1)
-
-    def test_non_invertible_multiplier_rejected(self):
-        with pytest.raises(NonInvertibleMultiplierError):
-            validate_params(9, 3)
+            ProcessParams(1)
 
     def test_biased_distribution_accepted(self):
-        params = validate_params(101, 2, (0.0, 0.6, 0.4))
+        params = ProcessParams(101, IncrementDistribution(0.0, 0.6, 0.4))
         assert params.increments.q_plus1 == 0.4
         assert not params.increments.is_uniform_thirds
 
@@ -57,9 +52,6 @@ class TestValidateParams:
     def test_non_finite_distribution_rejected(self, qs):
         with pytest.raises(BadDistributionError, match="non-finite"):
             IncrementDistribution(*qs)
-
-    def test_multiplier_three_on_coprime_modulus(self):
-        assert validate_params(7, 3).multiplier == 3
 
 
 class TestValueOf:
@@ -126,41 +118,41 @@ class TestDigitText:
 
 class TestSampleTrajectory:
     def test_zero_steps(self):
-        digits, final = sample_trajectory(validate_params(101), 0, seed=1)
+        digits, final = sample_trajectory(ProcessParams(101), 0, seed=1)
         assert digits.size == 0 and final == 0
 
     def test_single_step_range(self):
         for seed in range(20):
-            _, final = sample_trajectory(validate_params(101), 1, seed=seed)
+            _, final = sample_trajectory(ProcessParams(101), 1, seed=seed)
             assert final in (100, 0, 1)
 
     def test_determinism(self):
-        params = validate_params(101)
+        params = ProcessParams(101)
         d1, f1 = sample_trajectory(params, 500, seed=42)
         d2, f2 = sample_trajectory(params, 500, seed=42)
         assert np.array_equal(d1, d2) and f1 == f2
 
     def test_different_seeds_differ(self):
-        params = validate_params(101)
+        params = ProcessParams(101)
         d1, _ = sample_trajectory(params, 500, seed=42)
         d2, _ = sample_trajectory(params, 500, seed=43)
         assert not np.array_equal(d1, d2)
 
     @pytest.mark.parametrize("increments", [UNIFORM_INCREMENTS, IncrementDistribution(0.2, 0.5, 0.3)])
     def test_final_state_consistent_with_value(self, increments):
-        params = validate_params(10007, 2, increments)
+        params = ProcessParams(10007, increments)
         for seed in (0, 7, 123):
             digits, final = sample_trajectory(params, 300, seed=seed)
             assert value_of(digits) % params.modulus == final
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
-            sample_trajectory(validate_params(101), -1, seed=0)
+            sample_trajectory(ProcessParams(101), -1, seed=0)
 
     def test_empirical_plus_one_fraction(self):
         # fraction of +1 digits concentrates at q_plus1
         q = IncrementDistribution(0.0, 0.6, 0.4)
-        params = validate_params(101, 2, q)
+        params = ProcessParams(101, q)
         n, trials = 500, 200
         total = sum(
             int((sample_trajectory(params, n, seed=s)[0] == 1).sum())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdgproc.canonical import SequenceClass, TABLE_LIMITS
-from cdgproc.process import IncrementDistribution, validate_params
+from cdgproc.process import IncrementDistribution
 from cdgproc.stats import (
     AllZeroInputError,
     TooLargeError,
@@ -16,7 +16,6 @@ from cdgproc.stats import (
 from oracles import all_digit_matrix, naive_pair_cells
 
 EXAMPLE = [0, 0, 1, -1, 0, 1, 0, 1, -1, 1, 1]
-PARAMS = validate_params(101)
 
 
 def _signs(mat):
@@ -121,40 +120,32 @@ class TestExhaustive:
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
-        a = monte_carlo_frequencies(PARAMS, 500, 40, seed=9)
-        b = monte_carlo_frequencies(PARAMS, 500, 40, seed=9)
+        a = monte_carlo_frequencies(500, 40, seed=9)
+        b = monte_carlo_frequencies(500, 40, seed=9)
         np.testing.assert_array_equal(a.counts, b.counts)
         np.testing.assert_array_equal(a.freq_mean, b.freq_mean)
 
     def test_workers_do_not_change_result(self):
-        a = monte_carlo_frequencies(PARAMS, 2000, 64, seed=5)
-        b = monte_carlo_frequencies(PARAMS, 2000, 64, seed=5, workers=4)
+        a = monte_carlo_frequencies(2000, 64, seed=5)
+        b = monte_carlo_frequencies(2000, 64, seed=5, workers=4)
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_matches_exhaustive_within_four_stderr(self):
-        mc = monte_carlo_frequencies(PARAMS, 12, 100_000, seed=7)
+        mc = monte_carlo_frequencies(12, 100_000, seed=7)
         ex = exhaustive_expectations(12)
         stderr = np.where(mc.freq_stderr > 0, mc.freq_stderr, np.inf)
         assert (np.abs(mc.freq_mean - ex.freq_mean) <= 4 * stderr).all()
 
     def test_partition_of_positions(self):
-        rep = monte_carlo_frequencies(PARAMS, 777, 32, seed=0)
+        rep = monte_carlo_frequencies(777, 32, seed=0)
         assert rep.freq_mean.sum() == pytest.approx(776 / 777, rel=1e-12)
 
     def test_structural_zero_cells(self):
-        rep = monte_carlo_frequencies(PARAMS, 5000, 50, seed=13)
+        rep = monte_carlo_frequencies(5000, 50, seed=13)
         assert rep.n2_count == 0
 
-    def test_requires_multiplier_two(self):
-        with pytest.raises(ValueError):
-            monte_carlo_frequencies(validate_params(7, 3), 100, 5, seed=0)
-
-    def test_requires_uniform_increments(self):
-        with pytest.raises(ValueError):
-            monte_carlo_frequencies(validate_params(7, 2, (0.0, 0.6, 0.4)), 100, 5, seed=0)
-
     def test_report_metadata(self):
-        rep = monte_carlo_frequencies(PARAMS, 64, 10, seed=3)
+        rep = monte_carlo_frequencies(64, 10, seed=3)
         assert rep.mode == "monte-carlo"
         assert rep.trials == 10
         d = rep.to_dict()
