@@ -8,6 +8,13 @@ constraining all four standard-form pair types.  Supporting those rates are
 exact big-integer counts of binomial tails and of multinomial sums over the
 constraint regions, plus a log-gamma path for lengths where exact counts are
 impractical; the two count paths overlap and are cross-checked in tests.
+
+The four-type region S is counted as a convolution over s = l1 + l4: with
+m = n/2, m!/(l1! l2! l3! l4!) = C(m, s) C(s, l1) C(m-s, l2), so the sum is
+sum_s C(m, s) A(s) B(m-s), where A(s) sums C(s, l1) over the allowed l1 with
+s - l1 allowed for l4, and B(t) sums C(t, l2) likewise with t - l2 for l3.
+That visits about 2 W x 2W cells for coordinate intervals of width W, rather
+than the W^3 tuples (l1, l2, l3).
 """
 
 from __future__ import annotations
@@ -26,11 +33,14 @@ __all__ = [
     "EXACT_COUNT_MAX_N",
     "EmptyRangeError",
     "EmptyRegionError",
+    "MAX_COUNT_COST",
     "RegionCount",
     "StirlingBound",
     "binomial_tail_count",
     "c2_of_eps",
     "compute_constants",
+    "count_cost",
+    "log2_binomial_tail",
     "multinomial_region_count",
     "predict_threshold",
     "stirling_upper_bound",
@@ -38,6 +48,16 @@ __all__ = [
 
 #: exact big-integer counting is used up to this length, log-gamma above
 EXACT_COUNT_MAX_N = 2000
+
+#: largest count_cost the CLI accepts: at about 11 ns a grid cell and 65 ns a
+#: 1-D term (2-core x86 host, numpy 2.4), under a second of counting
+MAX_COUNT_COST = 1 << 26
+
+#: grid cells charged per 1-D log-gamma term (two gammaln calls each)
+_TERM_COST = 6
+
+#: log-domain sums run over blocks of at most this many float64 cells
+_BLOCK_CELLS = 1 << 16
 
 _LN2 = math.log(2.0)
 
@@ -104,21 +124,50 @@ def c2_of_eps(eps: float) -> float:
     return 1.0 / -(a * math.log2(a) + b * math.log2(b))
 
 
-def binomial_tail_count(n: int, eps: float) -> int:
-    """Exact sum of C(n, j) for ceil((0.4-eps) n) <= j <= floor((0.4+eps) n)."""
+def _log2_sum(log_terms, lo: int, hi: int, width: int = 1) -> float:
+    """log2 of the sum of exp(log_terms(j)) over lo <= j <= hi.
+
+    log_terms maps an index array to its natural-log terms, using width cells
+    per index; the indices go in blocks of at most _BLOCK_CELLS cells, so the
+    memory stays bounded at any length.
+    """
+    step = max(1, _BLOCK_CELLS // width)
+    parts = [logsumexp(log_terms(np.arange(j, min(j + step, hi + 1))))
+             for j in range(lo, hi + 1, step)]
+    return float(logsumexp(parts) / _LN2)
+
+
+def _tail_bounds(n: int, eps: float) -> tuple[int, int]:
+    """Inclusive j range ceil((0.4-eps) n) .. floor((0.4+eps) n) within 0..n."""
+    return max(math.ceil((0.4 - eps) * n), 0), min(math.floor((0.4 + eps) * n), n)
+
+
+def _tail_range(n: int, eps: float) -> tuple[int, int]:
+    """The binomial tail's j range, checked to be non-empty."""
     if n < 1:
         raise DomainError(f"length {n} must be at least 1")
     if not (0.0 < eps and 0.4 + eps < 0.5):
         warnings.warn(
-            f"eps {eps} outside (0, 0.1): the count is still exact, but the "
+            f"eps {eps} outside (0, 0.1): the count is still computed, but the "
             "associated tail bound is not valid there",
-            stacklevel=2,
+            stacklevel=3,
         )
-    lo = max(math.ceil((0.4 - eps) * n), 0)
-    hi = min(math.floor((0.4 + eps) * n), n)
+    lo, hi = _tail_bounds(n, eps)
     if lo > hi:
         raise EmptyRangeError(f"no integer j satisfies the range for n={n}, eps={eps}")
+    return lo, hi
+
+
+def binomial_tail_count(n: int, eps: float) -> int:
+    """Exact sum of C(n, j) for ceil((0.4-eps) n) <= j <= floor((0.4+eps) n)."""
+    lo, hi = _tail_range(n, eps)
     return sum(math.comb(n, j) for j in range(lo, hi + 1))
+
+
+def log2_binomial_tail(n: int, eps: float) -> float:
+    """log2 of binomial_tail_count(n, eps), summed with log-gamma in log space."""
+    lo, hi = _tail_range(n, eps)
+    return _log2_sum(lambda j: gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -157,6 +206,12 @@ def _region_ranges(region: CountRegion) -> list[tuple[int, int]]:
     return ranges
 
 
+def _s_totals(ranges: list[tuple[int, int]], m: int) -> tuple[int, int]:
+    """Inclusive range of s = l1 + l4 for which s and m - s = l2 + l3 are both reachable."""
+    (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4) = ranges
+    return max(lo1 + lo4, m - hi2 - hi3), min(hi1 + hi4, m - lo2 - lo3)
+
+
 @dataclass(frozen=True)
 class RegionCount:
     """Multinomial sum over a region: exact count (when computed) and log2."""
@@ -170,7 +225,10 @@ def multinomial_region_count(region: CountRegion, method: str = "auto") -> Regio
     """Sum of (n/2)! / (l1! l2! l3! l4!) over the region's integer tuples.
 
     method "exact" uses big integers, "lgamma" a log-domain float sum; "auto"
-    picks exact up to EXACT_COUNT_MAX_N.
+    picks exact up to EXACT_COUNT_MAX_N.  Kind S is summed over s = l1 + l4
+    as sum_s C(m, s) A(s) B(m-s), with A(s) = sum C(s, l1) over the allowed l1
+    with s - l1 allowed for l4 and B(t) = sum C(t, l2) over the allowed l2
+    with t - l2 allowed for l3 (see the module docstring); both paths use it.
     """
     if method == "auto":
         method = "exact" if region.n <= EXACT_COUNT_MAX_N else "lgamma"
@@ -187,54 +245,80 @@ def multinomial_region_count(region: CountRegion, method: str = "auto") -> Regio
         if method == "exact":
             count = sum(math.comb(m, l1) * 3 ** (m - l1) for l1 in range(lo1, hi1 + 1))
             return RegionCount(count, math.log2(count), method)
-        l1 = np.arange(lo1, hi1 + 1)
-        logs = (
-            gammaln(m + 1)
-            - gammaln(l1 + 1)
-            - gammaln(m - l1 + 1)
-            + (m - l1) * math.log(3.0)
-        )
-        return RegionCount(None, float(logsumexp(logs) / _LN2), method)
+        return RegionCount(None, _log2_sum(
+            lambda l1: (gammaln(m + 1) - gammaln(l1 + 1) - gammaln(m - l1 + 1)
+                        + (m - l1) * math.log(3.0)),
+            lo1, hi1,
+        ), method)
 
     (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4) = ranges
-    tuples = (hi1 - lo1 + 1) * (hi2 - lo2 + 1) * (hi3 - lo3 + 1)
-    if tuples > (1 << 26):
-        raise ValueError(
-            f"S-region enumeration would visit {tuples} tuples; reduce eps or n"
-        )
+    s_lo, s_hi = _s_totals(ranges, m)
+    if s_lo > s_hi:
+        raise EmptyRegionError(f"{region} contains no integer tuple")
     if method == "exact":
-        count = 0
-        for l1 in range(lo1, hi1 + 1):
-            c1 = math.comb(m, l1)
-            for l2 in range(lo2, hi2 + 1):
-                c2 = c1 * math.comb(m - l1, l2)
-                for l3 in range(lo3, hi3 + 1):
-                    l4 = m - l1 - l2 - l3
-                    if lo4 <= l4 <= hi4:
-                        count += c2 * math.comb(m - l1 - l2, l3)
-        if count == 0:
-            raise EmptyRegionError(f"{region} contains no integer tuple")
+        def pair_sum(t, lo_a, hi_a, lo_b, hi_b):
+            # sum of C(t, a) over the allowed a, each term from the previous one
+            lo, hi = max(lo_a, t - hi_b), min(hi_a, t - lo_b)
+            term, total = math.comb(t, lo), 0
+            for a in range(lo, hi + 1):
+                total += term
+                term = term * (t - a) // (a + 1)
+            return total
+
+        count = sum(
+            math.comb(m, s) * pair_sum(s, lo1, hi1, lo4, hi4) * pair_sum(m - s, lo2, hi2, lo3, hi3)
+            for s in range(s_lo, s_hi + 1)
+        )
         return RegionCount(count, math.log2(count), method)
 
-    g1, g2, g3 = np.meshgrid(
-        np.arange(lo1, hi1 + 1),
-        np.arange(lo2, hi2 + 1),
-        np.arange(lo3, hi3 + 1),
-        indexing="ij",
-    )
-    g4 = m - g1 - g2 - g3
-    mask = (g4 >= lo4) & (g4 <= hi4)
-    if not mask.any():
-        raise EmptyRegionError(f"{region} contains no integer tuple")
-    l1, l2, l3, l4 = (g[mask] for g in (g1, g2, g3, g4))
-    logs = (
-        gammaln(m + 1)
-        - gammaln(l1 + 1)
-        - gammaln(l2 + 1)
-        - gammaln(l3 + 1)
-        - gammaln(l4 + 1)
-    )
-    return RegionCount(None, float(logsumexp(logs) / _LN2), method)
+    # ln C(m, s) A(s) B(m-s) = ln m! + ln P14(s) + ln P23(m - s), with P the pair sums below
+    pair14 = _log_pair_sums(lo1, hi1, lo4, hi4, s_lo, s_hi)
+    pair23 = _log_pair_sums(lo2, hi2, lo3, hi3, m - s_hi, m - s_lo)
+    log_m = gammaln(m + 1)
+    return RegionCount(None, _log2_sum(
+        lambda s: log_m + pair14(s) + pair23(m - s),
+        s_lo, s_hi, width=max(hi1 - lo1, hi2 - lo2) + 1,
+    ), method)
+
+
+def _log_pair_sums(lo_a: int, hi_a: int, lo_b: int, hi_b: int, t_lo: int, t_hi: int):
+    """A map from totals t in [t_lo, t_hi] to ln of the sum of 1/(a! b!) over a + b = t.
+
+    a runs over [lo_a, hi_a] and b over [lo_b, hi_b].  The map builds one grid
+    row per total and one column per a, from a table of b's terms padded with
+    -inf outside [lo_b, hi_b]: with a descending, row t is the table's window
+    starting at b = t - hi_a.  Each row then gets its own logsumexp.
+    """
+    log_a = -gammaln(np.arange(hi_a, lo_a - 1, -1) + 1.0)
+    b = np.arange(t_lo - hi_a, t_hi - lo_a + 1)
+    log_b = np.where((lo_b <= b) & (b <= hi_b), -gammaln(np.clip(b, lo_b, hi_b) + 1.0), -np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(log_b, log_a.size)
+
+    def sums(t):
+        grid = windows[t - t_lo] + log_a
+        top = grid.max(axis=1)  # finite: every total in range has an allowed (a, b)
+        grid -= top[:, None]
+        np.exp(grid, out=grid)
+        return np.log(grid.sum(axis=1)) + top
+
+    return sums
+
+
+def count_cost(n: int, eps: float) -> int:
+    """Estimated work of the CLI's counts at even n and eps > 0, in S-grid cells.
+
+    Covers the binomial tail's j range, the R range of l1 (about 0.11 n) and
+    the two S pair grids (one cell per total s and coordinate value); each
+    tail and R term counts as _TERM_COST cells.  The log-domain sums run in
+    blocks, so memory stays bounded and the estimate tracks time.
+    """
+    lo, hi = _tail_bounds(n, eps)
+    _, cap = _region_ranges(CountRegion("R", n, eps))[0]
+    ranges = _region_ranges(CountRegion("S", n, eps))
+    s_lo, s_hi = _s_totals(ranges, n // 2)
+    widths = [max(hi_k - lo_k + 1, 0) for lo_k, hi_k in ranges]
+    terms = max(hi - lo + 1, 0) + cap + 1
+    return _TERM_COST * terms + max(s_hi - s_lo + 1, 0) * (widths[0] + widths[1])
 
 
 @dataclass(frozen=True)

@@ -267,19 +267,28 @@ def cmd_bounds(args) -> int:
         "c2": {"eps": args.eps, "value": bounds_mod.c2_of_eps(args.eps)},
     }
     if args.n is not None:
-        n = args.n
-        tail = bounds_mod.binomial_tail_count(n, args.eps)
+        n, eps = args.n, args.eps
+        # every cheap check runs before anything is counted
+        stirling = bounds_mod.stirling_upper_bound(n, eps)
+        cost = bounds_mod.count_cost(n, eps)
+        if cost > bounds_mod.MAX_COUNT_COST:
+            raise ValueError(
+                f"estimated counting cost {cost} cells exceeds the limit "
+                f"{bounds_mod.MAX_COUNT_COST}; reduce --n or --eps"
+            )
+        if n <= bounds_mod.EXACT_COUNT_MAX_N:
+            tail = bounds_mod.binomial_tail_count(n, eps)
+            tail_block = {"count": str(tail), "log2_count": math.log2(tail)}
+        else:
+            tail_block = {"count": None, "log2_count": bounds_mod.log2_binomial_tail(n, eps)}
         regions = {
-            kind: bounds_mod.multinomial_region_count(bounds_mod.CountRegion(kind, n, args.eps))
+            kind: bounds_mod.multinomial_region_count(bounds_mod.CountRegion(kind, n, eps))
             for kind in "RS"
         }
         payload["counts"] = {
             "n": n,
-            "eps": args.eps,
-            "binomial_tail": {
-                "count": str(tail) if n <= bounds_mod.EXACT_COUNT_MAX_N else None,
-                "log2_count": math.log2(tail),
-            },
+            "eps": eps,
+            "binomial_tail": tail_block,
             **{
                 f"region_{kind}": {
                     "count": None if r.count is None else str(r.count),
@@ -288,7 +297,7 @@ def cmd_bounds(args) -> int:
                 }
                 for kind, r in regions.items()
             },
-            "stirling": asdict(bounds_mod.stirling_upper_bound(n, args.eps)),
+            "stirling": asdict(stirling),
         }
     _emit_json(payload, args.out)
     return 0
@@ -425,7 +434,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -105,3 +105,20 @@ def pascal_binomial_tail(n: int, eps: float) -> int:
     lo = max(math.ceil((0.4 - eps) * n), 0)
     hi = min(math.floor((0.4 + eps) * n), n)
     return sum(row[lo : hi + 1])
+
+
+def direct_region_count(m: int, ranges) -> int:
+    """Multinomial sum m!/(l1! l2! l3! l4!) by a direct loop over (l1, l2, l3).
+
+    l4 = m - l1 - l2 - l3 is kept when it lies in its range; ranges holds an
+    inclusive (lo, hi) per coordinate.
+    """
+    (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4) = ranges
+    count = 0
+    for l1 in range(lo1, hi1 + 1):
+        for l2 in range(lo2, hi2 + 1):
+            for l3 in range(lo3, hi3 + 1):
+                l4 = m - l1 - l2 - l3
+                if lo4 <= l4 <= hi4:
+                    count += math.comb(m, l1) * math.comb(m - l1, l2) * math.comb(m - l1 - l2, l3)
+    return count

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdgproc.bounds import (
     CountRegion,
@@ -11,11 +13,12 @@ from cdgproc.bounds import (
     binomial_tail_count,
     c2_of_eps,
     compute_constants,
+    log2_binomial_tail,
     multinomial_region_count,
     predict_threshold,
     stirling_upper_bound,
 )
-from oracles import pascal_binomial_tail, string_count_in_region
+from oracles import direct_region_count, pascal_binomial_tail, string_count_in_region
 from cdgproc.bounds import _region_ranges
 
 
@@ -88,6 +91,20 @@ class TestBinomialTail:
         assert rate == pytest.approx(0.9759767899846818, abs=1e-12)
         assert rate < 1.0
 
+    @pytest.mark.parametrize("n", [2000, 2002, 10**4])
+    @pytest.mark.parametrize("eps", [0.005, 0.02])
+    def test_log2_matches_exact_count(self, n, eps):
+        exact = math.log2(binomial_tail_count(n, eps))
+        assert log2_binomial_tail(n, eps) == pytest.approx(exact, rel=1e-12)
+
+    def test_log2_checks_like_exact_count(self):
+        with pytest.raises(EmptyRangeError):
+            log2_binomial_tail(3, 0.01)
+        with pytest.raises(DomainError):
+            log2_binomial_tail(0, 0.01)
+        with pytest.warns(UserWarning):
+            assert log2_binomial_tail(10, 0.7) == pytest.approx(10.0, rel=1e-12)
+
 
 class TestCountRegion:
     def test_validation(self):
@@ -136,11 +153,33 @@ class TestRegionCounts:
 
     def test_exact_and_lgamma_agree_on_overlap(self):
         for n in (500, 1000, 2000):
-            region = CountRegion("S", n, 0.005)
-            exact = multinomial_region_count(region, method="exact")
-            approx = multinomial_region_count(region, method="lgamma")
-            assert approx.log2_count == pytest.approx(exact.log2_count, rel=1e-12)
-            assert approx.count is None and exact.count is not None
+            for eps in (0.005, 0.02):
+                region = CountRegion("S", n, eps)
+                exact = multinomial_region_count(region, method="exact")
+                approx = multinomial_region_count(region, method="lgamma")
+                assert approx.log2_count == pytest.approx(exact.log2_count, rel=1e-12)
+                assert approx.count is None and exact.count is not None
+
+    @pytest.mark.parametrize("n", [100, 500, 1000])
+    @pytest.mark.parametrize("eps", [0.005, 0.02, 0.0275])
+    def test_s_count_matches_direct_loop(self, n, eps):
+        region = CountRegion("S", n, eps)
+        rc = multinomial_region_count(region)
+        assert rc.count == direct_region_count(n // 2, _region_ranges(region))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=6),
+        eps=st.floats(min_value=1e-6, max_value=0.3, exclude_max=True),
+    )
+    def test_s_count_matches_string_enumeration_property(self, m, eps):
+        region = CountRegion("S", 2 * m, eps)
+        want = string_count_in_region(m, _region_ranges(region))
+        try:
+            got = multinomial_region_count(region).count
+        except EmptyRegionError:
+            got = 0
+        assert got == want
 
     def test_auto_method_switches(self):
         assert multinomial_region_count(CountRegion("S", 2000, 0.005)).method == "exact"

@@ -1,13 +1,17 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdgproc import cli
+from cdgproc import bounds, cli
 from cdgproc.cli import MAX_TRACE_STEPS, _emit_json, build_parser, is_prime, main
 
 
@@ -299,6 +303,68 @@ class TestBounds:
     def test_bad_eps_is_error(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--eps", "0.2")
         assert code == 1 and "error" in err
+
+    @pytest.fixture
+    def no_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted before the checks")
+
+        for name in ("binomial_tail_count", "log2_binomial_tail", "multinomial_region_count"):
+            monkeypatch.setattr(bounds, name, refuse)
+
+    def test_eps_domain_checked_before_counting(self, capsys, no_counting):
+        code, _, err = run_cli(capsys, "bounds", "--n", "1000", "--eps", "0.05")
+        assert_one_line_error(code, err)
+        assert "eps 0.05 outside the bound's validity range" in err
+
+    def test_cost_estimate_refuses_before_counting(self, capsys, no_counting):
+        code, _, err = run_cli(capsys, "bounds", "--n", "10000000")
+        assert_one_line_error(code, err)
+        assert "estimated counting cost" in err
+
+    def test_large_n_within_the_cost_limit(self, capsys, schema):
+        payload = run_json(capsys, schema, "bounds", "--n", "200000", "--eps", "0.005")
+        counts = payload["counts"]
+        assert counts["binomial_tail"]["count"] is None
+        assert counts["binomial_tail"]["log2_count"] < 200000
+        # a single global max with exp underflows here; per-row maxima do not
+        assert counts["region_S"]["method"] == "lgamma"
+        assert 0.9965 < counts["region_S"]["log2_count"] / 200000 < 1.0
+
+    def test_tail_log2_switches_at_the_exact_limit(self, capsys, schema):
+        limit = bounds.EXACT_COUNT_MAX_N
+        for n in (limit, limit + 2):
+            tail = run_json(capsys, schema, "bounds", "--n", str(n))["counts"]["binomial_tail"]
+            assert (tail["count"] is None) == (n > limit)
+            assert tail["log2_count"] == pytest.approx(
+                math.log2(bounds.binomial_tail_count(n, 0.005)), rel=1e-12
+            )
+
+    def test_huge_n_is_one_line_error(self, capsys):
+        code, _, err = run_cli(capsys, "bounds", "--n", str(10**400))
+        assert_one_line_error(code, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(min_value=-10, max_value=10**6),
+            st.integers(min_value=-5, max_value=5 * 10**5).map(lambda k: 2 * k),
+        ),
+        eps=st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -0.01]),
+            st.floats(min_value=-0.01, max_value=0.03),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+    )
+    def test_fuzz_exit_zero_with_schema_or_one_line_error(self, schema, n, eps):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["bounds", f"--n={n}", f"--eps={eps!r}"])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            jsonschema.validate(json.loads(out), schema)
+        else:
+            assert_one_line_error(code, err)
 
 
 class TestSimulate:
