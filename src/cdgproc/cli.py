@@ -361,8 +361,15 @@ def cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1 with one `error:` line, like every other failure."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdg",
         description="Doubling random walk x -> 2x+b (mod p): exact evolution, "
         "standard forms, pair statistics, bounds, and Monte Carlo simulation.",

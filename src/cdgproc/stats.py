@@ -7,6 +7,11 @@ single strings, exactly over all 3^n strings of small length, and by seeded
 Monte Carlo for large lengths; it also measures the block-pattern events
 behind the pair counts and the concentration of the number of +1 increments.
 
+Monte Carlo draws one substream per block of about 2^16 digits of trials and
+keeps per-cell sums and sums of squares, so its memory does not grow with
+the trial count; its cost, trials x (n + 48), is checked before anything is
+drawn.
+
 First-minus-1 strings are negated onto the first-1 case before counting
 (their statistics are identical under negation), so all reports use the
 first-1 table orientation.
@@ -14,6 +19,7 @@ first-1 table orientation.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,6 +42,8 @@ __all__ = [
     "BlockEventReport",
     "EXHAUSTIVE_MAX_N",
     "FrequencyReport",
+    "MAX_MC_COST",
+    "MAX_MC_LENGTH",
     "OnesCountReport",
     "PairHistogram",
     "TooLargeError",
@@ -51,6 +59,18 @@ __all__ = [
 EXHAUSTIVE_MAX_N = 14
 
 _CELLS = 6 * 4 * 2
+
+#: Monte Carlo refuses trials * (n + 48) above this: digits plus per-row cells.
+#: It also keeps the int64 sums of squares, at most trials * n^2 < 2^56, exact.
+MAX_MC_COST = 1 << 32
+#: one row is the smallest chunk, so n alone sets the Monte Carlo memory
+MAX_MC_LENGTH = 1 << 24
+#: a Monte Carlo substream covers about this many digits (whole rows, at least one)
+_BLOCK_DIGITS = 1 << 16
+#: a Monte Carlo chunk is whole blocks of at most this many digits (or one block) ...
+_CHUNK_DIGITS = 1 << 24
+#: ... and at most this many per-row cells, which bounds its per-row bookkeeping
+_CHUNK_CELLS = 1 << 20
 
 
 class AllZeroInputError(ValueError):
@@ -80,20 +100,25 @@ def _aggregate_counts(codes: np.ndarray) -> np.ndarray:
     return np.bincount(flat, minlength=_CELLS).reshape(6, 4, 2)
 
 
-def _per_row_counts(codes: np.ndarray) -> np.ndarray:
-    """Cell counts per row of a code matrix, shape (rows, 48)."""
+def _per_row_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell sums and sums of squares, over the rows, of each row's cell counts.
+
+    Rows are tallied in sub-blocks of about 2^20 codes plus per-row cells, so
+    no rows x 48 array is built.  Both results have shape (48,).
+    """
     rows, width = codes.shape
-    out = np.zeros((rows, _CELLS), dtype=np.int64)
-    if rows == 0 or width == 0:
-        return out
-    block = max(1, (1 << 22) // max(width, 1))
+    s1 = np.zeros(_CELLS, dtype=np.int64)
+    s2 = np.zeros(_CELLS, dtype=np.int64)
+    block = max(1, (1 << 20) // (width + _CELLS))
     for lo in range(0, rows, block):
         hi = min(lo + block, rows)
         chunk = codes[lo:hi].astype(np.int64)
-        chunk += (np.arange(lo, hi, dtype=np.int64)[:, None] - lo) * _CELLS
+        chunk += np.arange(hi - lo, dtype=np.int64)[:, None] * _CELLS
         counts = np.bincount(chunk.ravel(), minlength=(hi - lo) * _CELLS)
-        out[lo:hi] = counts.reshape(hi - lo, _CELLS)
-    return out
+        counts = counts.reshape(hi - lo, _CELLS)
+        s1 += counts.sum(axis=0)
+        s2 += np.einsum("ij,ij->j", counts, counts)
+    return s1, s2
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,50 +336,75 @@ def monte_carlo_frequencies(n: int, trials: int, seed, workers: int = 1) -> Freq
     """Seeded Monte Carlo estimate of the pair-table cell frequencies.
 
     Digits are drawn from the uniform law on {-1, 0, 1}, the setting of the
-    standard-form pair analysis.  Each trial draws its own substream, so the
-    result depends only on (seed, trial index), never on chunking or worker
-    count.  All-zero draws are discarded; first-minus-1 draws are negated and
-    pooled with first-1 draws.
+    standard-form pair analysis.  Trials come in blocks of
+    B = max(1, 2^16 // n) rows; block b is one draw from child b of
+    SeedSequence(seed).spawn(ceil(trials / B)), so the result depends only on
+    (seed, n, trial index), never on chunking or worker count.  Chunks of
+    whole blocks are tallied into per-cell sums and sums of squares, so the
+    memory does not grow with trials.  All-zero draws are discarded;
+    first-minus-1 draws are negated and pooled with first-1 draws.
     """
     if n < 2:
         raise ValueError(f"length {n} must be at least 2")
     if trials < 1:
         raise ValueError(f"trial count {trials} must be at least 1")
+    if n > MAX_MC_LENGTH:
+        raise ValueError(f"length {n} exceeds the Monte Carlo limit {MAX_MC_LENGTH}")
+    if trials * (n + _CELLS) > MAX_MC_COST:
+        raise ValueError(
+            f"estimated Monte Carlo cost {trials * (n + _CELLS)} (digits plus per-row cells) "
+            f"exceeds the limit {MAX_MC_COST}; reduce trials or n"
+        )
 
-    children = np.random.SeedSequence(seed).spawn(trials)
-    chunk = max(1, (1 << 24) // n)
-    ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    root = np.random.SeedSequence(seed)
+    block = max(1, _BLOCK_DIGITS // n)
+    per_chunk = block * max(
+        1, min(_CHUNK_DIGITS // (block * n), _CHUNK_CELLS // (block * _CELLS))
+    )
+    ranges = [(lo, min(lo + per_chunk, trials)) for lo in range(0, trials, per_chunk)]
 
     def process(bounds):
         lo, hi = bounds
         mat = np.empty((hi - lo, n), dtype=np.int8)
-        for i in range(lo, hi):
-            rng = np.random.default_rng(children[i])
-            mat[i - lo] = rng.integers(-1, 2, size=n, dtype=np.int8)
+        for start in range(lo, hi, block):
+            # child b of root.spawn(...), built on its own so that no list grows with trials
+            child = np.random.SeedSequence(
+                root.entropy, spawn_key=(*root.spawn_key, start // block), pool_size=root.pool_size
+            )
+            rows = min(block, hi - start)
+            mat[start - lo : start - lo + rows] = np.random.default_rng(child).integers(
+                -1, 2, size=(rows, n), dtype=np.int8
+            )
         sign = _first_nonzero_sign(mat)
         work = (mat[sign != 0] * sign[sign != 0, None]).astype(np.int8)
         codes = _pair_codes(work, _canonicalize_matrix(work))
-        return _per_row_counts(codes)
+        return (*_per_row_counts(codes), work.shape[0])
 
-    per_trial = np.concatenate(_map_chunks(process, ranges, workers))
-    used = per_trial.shape[0]
+    s1 = np.zeros(_CELLS, dtype=np.int64)
+    s2 = np.zeros(_CELLS, dtype=np.int64)
+    used = 0
+    for c1, c2, k in _map_chunks(process, ranges, workers):
+        s1 += c1
+        s2 += c2
+        used += k
     if used == 0:
         raise ValueError("all trials drew the all-zero string; increase n or trials")
-    per_trial = per_trial.reshape(used, 6, 4, 2)
-    trial_freqs = per_trial / n
-    freq_mean = trial_freqs.mean(axis=0)
     if used > 1:
-        freq_stderr = trial_freqs.std(axis=0, ddof=1) / np.sqrt(used)
+        # exact integer variance numerators, rounded once
+        freq_stderr = np.array([
+            math.sqrt((used * int(b) - int(a) ** 2) / (used * (used - 1))) / (n * math.sqrt(used))
+            for a, b in zip(s1, s2)
+        ])
     else:
-        freq_stderr = np.zeros_like(freq_mean)
+        freq_stderr = np.zeros(_CELLS)
     return FrequencyReport(
         n=n,
         mode="monte-carlo",
         conditioning="first_one (first_minus_one negated and pooled)",
         trials=used,
-        counts=per_trial.sum(axis=0),
-        freq_mean=freq_mean,
-        freq_stderr=freq_stderr,
+        counts=s1.reshape(6, 4, 2),
+        freq_mean=(s1 / (used * n)).reshape(6, 4, 2),
+        freq_stderr=freq_stderr.reshape(6, 4, 2),
     )
 
 

@@ -122,3 +122,39 @@ def direct_region_count(m: int, ranges) -> int:
                 if lo4 <= l4 <= hi4:
                     count += math.comb(m, l1) * math.comb(m - l1, l2) * math.comb(m - l1 - l2, l3)
     return count
+
+
+def block_substream_rows(n: int, trials: int, seed, block: int) -> np.ndarray:
+    """Digit rows of trials 0..trials-1 when trials come in blocks of `block` rows.
+
+    Block b is one (rows, n) draw from its own generator, seeded with child b
+    of SeedSequence(seed).spawn(ceil(trials / block)); the last block may be
+    short.
+    """
+    children = np.random.SeedSequence(seed).spawn(math.ceil(trials / block))
+    parts = [
+        np.random.default_rng(child).integers(
+            -1, 2, size=(min(block, trials - b * block), n), dtype=np.int8
+        )
+        for b, child in enumerate(children)
+    ]
+    return np.concatenate(parts)
+
+
+def per_trial_substream_rows(n: int, trials: int, seed) -> np.ndarray:
+    """Digit rows when every trial draws its n digits alone from its own spawned child."""
+    children = np.random.SeedSequence(seed).spawn(trials)
+    return np.stack(
+        [np.random.default_rng(c).integers(-1, 2, size=n, dtype=np.int8) for c in children]
+    )
+
+
+def per_trial_moments(cells: np.ndarray, n: int):
+    """(counts, freq_mean, freq_stderr) of per-trial cell counts of shape (trials, 6, 4, 2).
+
+    The moments are numpy's two-pass mean and std (ddof=1) of the per-trial
+    frequencies count / n, with nothing accumulated in integers.
+    """
+    freqs = cells / n
+    stderr = freqs.std(axis=0, ddof=1) / np.sqrt(len(cells))
+    return cells.sum(axis=0), freqs.mean(axis=0), stderr

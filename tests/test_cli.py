@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdgproc import bounds, cli
+from cdgproc import bounds, cli, stats
 from cdgproc.cli import MAX_TRACE_STEPS, _emit_json, build_parser, is_prime, main
 
 
@@ -31,6 +31,17 @@ def run_cli(capsys, *argv):
 def assert_one_line_error(code, err):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def run_captured(*argv):
+    """(exit code, stdout, stderr) of main, with argument errors' SystemExit as the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_json(capsys, schema, *argv):
@@ -281,6 +292,55 @@ class TestStats:
         )
         assert base == threaded
 
+    def test_threads_env_with_several_chunks(self, capsys, monkeypatch):
+        # 50000 trials of n=20 are three chunks of whole substream blocks
+        argv = ("stats", "--mode", "mc", "--n", "20", "--trials", "50000", "--seed", "4")
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CDG_THREADS", threads)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("n, trials, message", [
+        ("20", "1000000000000", "estimated Monte Carlo cost"),
+        ("100000000", "1", "exceeds the Monte Carlo limit"),
+    ])
+    def test_mc_limits_refused_before_drawing(self, capsys, monkeypatch, n, trials, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before the checks")
+
+        monkeypatch.setattr(stats.np.random, "default_rng", refuse)
+        code, out, err = run_cli(
+            capsys, "stats", "--mode", "mc", "--n", n, "--trials", trials
+        )
+        assert_one_line_error(code, err)
+        assert message in err and out == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(["mc", "exhaustive"]),
+        n=st.integers(min_value=-5, max_value=300),
+        trials=st.integers(min_value=-5, max_value=3000),
+        seed=st.integers(min_value=-5, max_value=10**40),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_fuzz_exit_zero_with_output_or_one_line_error(
+        self, schema, mode, n, trials, seed, fmt
+    ):
+        code, out, err = run_captured(
+            "stats", "--mode", mode, "--n", str(n), "--trials", str(trials),
+            "--seed", str(seed), "--format", fmt,
+        )
+        if code != 0:
+            assert_one_line_error(code, err)
+        elif fmt == "json":
+            jsonschema.validate(json.loads(out), schema)
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "row,col,parity,count,frequency,stderr" and len(lines) == 49
+
 
 class TestBounds:
     def test_constants_only(self, capsys, schema):
@@ -438,6 +498,22 @@ class TestInputContract:
         )
         assert_one_line_error(code, err)
         assert "Unable to allocate" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--n", "100", "--eps", "-1e-05"),
+        ("simulate", "--p", "101", "--steps", "5", "--trials", "-1e3"),
+        ("no-such-command",),
+        ("simulate", "--steps", "5", "--trials", "10"),
+    ])
+    def test_argument_error_is_one_line_error(self, argv):
+        code, out, err = run_captured(*argv)
+        assert_one_line_error(code, err)
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [("--help",), ("stats", "--help")])
+    def test_help_exits_zero(self, argv):
+        code, out, err = run_captured(*argv)
+        assert code == 0 and out.startswith("usage: cdg") and err == ""
 
     def test_json_refuses_nan(self, capsys):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdgproc import stats
 from cdgproc.canonical import SequenceClass, TABLE_LIMITS
 from cdgproc.process import IncrementDistribution
 from cdgproc.stats import (
@@ -13,7 +14,13 @@ from cdgproc.stats import (
     monte_carlo_frequencies,
     ones_count_statistics,
 )
-from oracles import all_digit_matrix, naive_pair_cells
+from oracles import (
+    all_digit_matrix,
+    block_substream_rows,
+    naive_pair_cells,
+    per_trial_moments,
+    per_trial_substream_rows,
+)
 
 EXAMPLE = [0, 0, 1, -1, 0, 1, 0, 1, -1, 1, 1]
 
@@ -150,6 +157,57 @@ class TestMonteCarlo:
         assert rep.trials == 10
         d = rep.to_dict()
         assert len(d["cells"]) == 48 and len(d["cells_combined"]) == 24
+
+    @pytest.mark.parametrize("n, trials, seed", [(20, 7000, 11), (2**16, 5, 12)])
+    def test_matches_block_substream_oracle(self, n, trials, seed):
+        rows = block_substream_rows(n, trials, seed, block=max(1, 2**16 // n))
+        if n >= 2**16:
+            # one trial per block: each trial draws alone from its own child
+            np.testing.assert_array_equal(rows, per_trial_substream_rows(n, trials, seed))
+        cells = np.stack([count_pairs(r).cells for r in rows if r.any()])
+        counts, mean, stderr = per_trial_moments(cells, n)
+        rep = monte_carlo_frequencies(n, trials, seed)
+        assert rep.trials == len(cells)
+        np.testing.assert_array_equal(rep.counts, counts)
+        np.testing.assert_allclose(rep.freq_mean, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.freq_stderr, stderr, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunking_does_not_change_result(self, monkeypatch, workers):
+        base = monte_carlo_frequencies(20, 20_000, seed=8)
+        original, sizes = stats._map_chunks, []
+
+        def recording(fn, items, w):
+            sizes.append(len(items))
+            return original(fn, items, w)
+
+        monkeypatch.setattr(stats, "_map_chunks", recording)
+        monkeypatch.setattr(stats, "_CHUNK_CELLS", 1)
+        small = monte_carlo_frequencies(20, 20_000, seed=8, workers=workers)
+        assert sizes[0] >= 3
+        np.testing.assert_array_equal(small.counts, base.counts)
+        np.testing.assert_array_equal(small.freq_mean, base.freq_mean)
+        np.testing.assert_array_equal(small.freq_stderr, base.freq_stderr)
+
+    @pytest.fixture
+    def no_drawing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before the checks")
+
+        monkeypatch.setattr(stats.np.random, "default_rng", refuse)
+
+    def test_cost_refused_before_drawing(self, no_drawing):
+        limit = stats.MAX_MC_COST // (20 + 48)
+        with pytest.raises(ValueError, match="cost"):
+            monte_carlo_frequencies(20, limit + 1, seed=0)
+        with pytest.raises(AssertionError, match="drew"):
+            monte_carlo_frequencies(20, limit, seed=0)
+
+    def test_length_refused_before_drawing(self, no_drawing):
+        with pytest.raises(ValueError, match="length"):
+            monte_carlo_frequencies(stats.MAX_MC_LENGTH + 1, 1, seed=0)
+        with pytest.raises(AssertionError, match="drew"):
+            monte_carlo_frequencies(stats.MAX_MC_LENGTH, 1, seed=0)
 
 
 class TestClassProbability:
