@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -45,6 +44,18 @@ MAX_TRACE_STEPS = 100_000
 #: moduli above this cannot be simulated with int64 arithmetic
 SIMULATE_MAX_MODULUS = 1 << 61
 
+# Cost limits, checked before any work.  At the slowest rates measured on a 2-core
+# Xeon VM (31, 15 and 24 ns a unit) the largest accepted input runs about 4 minutes.
+#: evolve refuses steps x p above this
+MAX_EVOLVE_COST = 1 << 33
+#: scan refuses the sum of _scan_cost over its moduli above this
+MAX_SCAN_COST = 1 << 34
+#: simulate refuses (steps + _TRIAL_UNITS) x (trials + _STEP_UNITS) above this
+MAX_SIMULATE_COST = 1 << 33
+#: fixed costs: a step in residues (scan) or trials (simulate), a trial's output in steps
+_STEP_UNITS = 1000
+_TRIAL_UNITS = 64
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -71,14 +82,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _workers() -> int:
-    raw = os.environ.get("CDG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fmt(x: float) -> str:
@@ -126,6 +129,11 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
+def _check_cost(what: str, cost: int, limit: int, advice: str) -> None:
+    if cost > limit:
+        raise ValueError(f"estimated {what} cost {cost} exceeds the limit {limit}; {advice}")
+
+
 # ----------------------------------------------------------------- evolve
 
 _EVOLVE_COLUMNS = ("step", "tvd", "entropy_bits", "support", "typical99")
@@ -135,6 +143,7 @@ def cmd_evolve(args) -> int:
     if args.steps > MAX_TRACE_STEPS:
         raise ValueError(f"step count {args.steps} exceeds the trace limit {MAX_TRACE_STEPS}")
     params = ProcessParams(args.p, _parse_dist(args.dist))
+    _check_cost("evolve", args.steps * params.modulus, MAX_EVOLVE_COST, "reduce --steps or --p")
     _, rows = dist_mod.evolve_with_trace(params, args.steps, args.delta, args.max_p_override)
     trace = [
         dict(zip(_EVOLVE_COLUMNS, (r.step, r.tvd, r.entropy_bits, r.support, r.typical)))
@@ -159,28 +168,52 @@ def cmd_evolve(args) -> int:
 
 # ------------------------------------------------------------------- scan
 
+def _scan_cap(p: int, steps: int | None) -> int:
+    return steps if steps is not None else 4 * math.ceil(math.log2(p)) + 64
+
+
+def _scan_cost(p: int, steps: int | None) -> int:
+    """Residue-steps of one modulus, plus a fixed cost per step and per modulus."""
+    return (_scan_cap(p, steps) + 1) * (p + _STEP_UNITS)
+
+
 def _scan_moduli(args) -> list[int]:
+    """The moduli to scan; the guard and the cost are checked before any is tested."""
     if args.primes:
-        moduli = []
-        for p in map(int, args.primes.split(",")):
+        moduli = [int(p) for p in args.primes.split(",")]
+        for p in moduli:
             if p < 3 or p % 2 == 0:
                 raise ValueError(f"scan modulus {p} must be an odd integer >= 3")
-            if not is_prime(p):
-                _warn(f"NonPrimeInput: {p} is composite")
-                if not args.allow_composite:
-                    _warn(f"skipping {p} (use --allow-composite to keep it)")
-                    continue
-            moduli.append(p)
-        return moduli
-    if args.p_min is None or args.p_max is None:
+            if p > args.max_p_override:
+                raise dist_mod.ModulusTooLargeError(
+                    f"modulus {p} exceeds guard {args.max_p_override}; "
+                    "raise max_modulus to override"
+                )
+        cost = sum(_scan_cost(p, args.steps) for p in moduli)
+    elif args.p_min is None or args.p_max is None:
         raise ValueError("scan needs either --primes or both --p-min and --p-max")
-    candidates = range(max(3, args.p_min) | 1, args.p_max + 1, 2)
-    return [p for p in candidates if args.allow_composite or is_prime(p)]
+    else:
+        moduli = range(max(3, args.p_min) | 1, args.p_max + 1, 2)
+        # every odd candidate is charged as p_max, the largest
+        count = max(0, (args.p_max - moduli.start) // 2 + 1)
+        cost = count and count * _scan_cost(args.p_max, args.steps)
+    _check_cost("scan", cost, MAX_SCAN_COST, "reduce the moduli or --steps")
+    if not args.primes:
+        return [p for p in moduli if args.allow_composite or is_prime(p)]
+    kept = []
+    for p in moduli:
+        if not is_prime(p):
+            _warn(f"NonPrimeInput: {p} is composite")
+            if not args.allow_composite:
+                _warn(f"skipping {p} (use --allow-composite to keep it)")
+                continue
+        kept.append(p)
+    return kept
 
 
 def _scan_row(p: int, dist: IncrementDistribution, max_p: int, cap: int | None) -> dict:
     params = ProcessParams(p, dist)
-    limit = cap if cap is not None else 4 * math.ceil(math.log2(p)) + 64
+    limit = _scan_cap(p, cap)
     crossings: dict[float, int | None] = dict.fromkeys(SCAN_THRESHOLDS)
     for n, mass in dist_mod.iter_evolve(params, limit, max_p):
         if n == 0:  # the start is never a crossing
@@ -244,9 +277,9 @@ def cmd_canon(args) -> int:
 def cmd_stats(args) -> int:
     if args.mode == "exhaustive":
         cls = SequenceClass(args.cls)
-        report = exhaustive_expectations(args.n, cls, workers=_workers())
+        report = exhaustive_expectations(args.n, cls)
     else:
-        report = monte_carlo_frequencies(args.n, args.trials, args.seed, workers=_workers())
+        report = monte_carlo_frequencies(args.n, args.trials, args.seed)
     d = report.to_dict()
     if args.format == "csv":
         rows = [dict(zip(("row", "col", "parity"), key.split("|")), **cell)
@@ -271,11 +304,7 @@ def cmd_bounds(args) -> int:
         # every cheap check runs before anything is counted
         stirling = bounds_mod.stirling_upper_bound(n, eps)
         cost = bounds_mod.count_cost(n, eps)
-        if cost > bounds_mod.MAX_COUNT_COST:
-            raise ValueError(
-                f"estimated counting cost {cost} cells exceeds the limit "
-                f"{bounds_mod.MAX_COUNT_COST}; reduce --n or --eps"
-            )
+        _check_cost("counting", cost, bounds_mod.MAX_COUNT_COST, "reduce --n or --eps")
         if n <= bounds_mod.EXACT_COUNT_MAX_N:
             tail = bounds_mod.binomial_tail_count(n, eps)
             tail_block = {"count": str(tail), "log2_count": math.log2(tail)}
@@ -314,6 +343,8 @@ def cmd_simulate(args) -> int:
     p = ProcessParams(args.p, dist).modulus
     if p > SIMULATE_MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds the int64 simulation limit")
+    cost = (args.steps + _TRIAL_UNITS) * (args.trials + _STEP_UNITS)
+    _check_cost("simulate", cost, MAX_SIMULATE_COST, "reduce --trials or --steps")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     x = np.zeros(args.trials, dtype=np.int64)
     support = np.array([-1, 0, 1], dtype=np.int64)

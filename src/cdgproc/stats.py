@@ -20,7 +20,6 @@ first-1 table orientation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +93,7 @@ def _pair_codes(raw: np.ndarray, canon: np.ndarray) -> np.ndarray:
 
 
 def _aggregate_counts(codes: np.ndarray) -> np.ndarray:
-    flat = codes.ravel()
-    if flat.size == 0:
-        return np.zeros((6, 4, 2), dtype=np.int64)
-    return np.bincount(flat, minlength=_CELLS).reshape(6, 4, 2)
+    return np.bincount(codes.ravel(), minlength=_CELLS).reshape(6, 4, 2)
 
 
 def _per_row_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,13 +266,6 @@ class FrequencyReport:
         }
 
 
-def _map_chunks(fn, items, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _digit_matrix(lo: int, hi: int, n: int) -> np.ndarray:
     """Rows lo..hi-1 of the base-3 enumeration of all length-n strings."""
     idx = np.arange(lo, hi, dtype=np.int64)[:, None]
@@ -285,9 +274,7 @@ def _digit_matrix(lo: int, hi: int, n: int) -> np.ndarray:
 
 
 def exhaustive_expectations(
-    n: int,
-    sequence_class: SequenceClass = SequenceClass.FIRST_ONE,
-    workers: int = 1,
+    n: int, sequence_class: SequenceClass = SequenceClass.FIRST_ONE
 ) -> FrequencyReport:
     """Exact conditional cell-frequency expectations over all 3^n strings.
 
@@ -314,10 +301,9 @@ def exhaustive_expectations(
         counts = _aggregate_counts(_pair_codes(work, _canonicalize_matrix(work)))
         return counts, work.shape[0]
 
-    results = _map_chunks(process, ranges, workers)
     counts = np.zeros((6, 4, 2), dtype=np.int64)
     used = 0
-    for c, k in results:
+    for c, k in map(process, ranges):
         counts += c
         used += k
     assert used == (total - 1) // 2
@@ -332,17 +318,17 @@ def exhaustive_expectations(
     )
 
 
-def monte_carlo_frequencies(n: int, trials: int, seed, workers: int = 1) -> FrequencyReport:
+def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
     """Seeded Monte Carlo estimate of the pair-table cell frequencies.
 
     Digits are drawn from the uniform law on {-1, 0, 1}, the setting of the
     standard-form pair analysis.  Trials come in blocks of
     B = max(1, 2^16 // n) rows; block b is one draw from child b of
     SeedSequence(seed).spawn(ceil(trials / B)), so the result depends only on
-    (seed, n, trial index), never on chunking or worker count.  Chunks of
-    whole blocks are tallied into per-cell sums and sums of squares, so the
-    memory does not grow with trials.  All-zero draws are discarded;
-    first-minus-1 draws are negated and pooled with first-1 draws.
+    (seed, n, trial index), never on chunking.  Chunks of whole blocks are
+    tallied into per-cell sums and sums of squares, so the memory does not
+    grow with trials.  All-zero draws are discarded; first-minus-1 draws are
+    negated and pooled with first-1 draws.
     """
     if n < 2:
         raise ValueError(f"length {n} must be at least 2")
@@ -383,7 +369,7 @@ def monte_carlo_frequencies(n: int, trials: int, seed, workers: int = 1) -> Freq
     s1 = np.zeros(_CELLS, dtype=np.int64)
     s2 = np.zeros(_CELLS, dtype=np.int64)
     used = 0
-    for c1, c2, k in _map_chunks(process, ranges, workers):
+    for c1, c2, k in map(process, ranges):
         s1 += c1
         s2 += c2
         used += k

@@ -1,17 +1,20 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdgproc import bounds, cli, stats
+import cdgproc
+from cdgproc import bounds, cli, distribution, stats
 from cdgproc.cli import MAX_TRACE_STEPS, _emit_json, build_parser, is_prime, main
 
 
@@ -213,6 +216,14 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--primes", "101", "--steps", "-1")
         assert_one_line_error(code, err)
 
+    def test_guard_checked_before_any_modulus(self, capsys):
+        # the composite 9 would be warned about and evolved first
+        code, out, err = run_cli(
+            capsys, "scan", "--primes", "9,67108865", "--allow-composite"
+        )
+        assert_one_line_error(code, err)
+        assert "exceeds guard" in err and out == ""
+
 
 class TestCanon:
     def test_eleven_digit_example(self, capsys, schema):
@@ -281,27 +292,6 @@ class TestStats:
     def test_exhaustive_too_large(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--mode", "exhaustive", "--n", "15")
         assert code == 1 and "error" in err
-
-    def test_threads_env_does_not_change_output(self, capsys, monkeypatch):
-        _, base, _ = run_cli(
-            capsys, "stats", "--mode", "mc", "--n", "300", "--trials", "16", "--seed", "2"
-        )
-        monkeypatch.setenv("CDG_THREADS", "4")
-        _, threaded, _ = run_cli(
-            capsys, "stats", "--mode", "mc", "--n", "300", "--trials", "16", "--seed", "2"
-        )
-        assert base == threaded
-
-    def test_threads_env_with_several_chunks(self, capsys, monkeypatch):
-        # 50000 trials of n=20 are three chunks of whole substream blocks
-        argv = ("stats", "--mode", "mc", "--n", "20", "--trials", "50000", "--seed", "4")
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("CDG_THREADS", threads)
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 0, err
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("n, trials, message", [
         ("20", "1000000000000", "estimated Monte Carlo cost"),
@@ -470,6 +460,146 @@ class TestSimulate:
         assert "residue,count" in lines
 
 
+class TestCostLimits:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Primality tests, random draws and distribution steps raise."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began")
+
+        monkeypatch.setattr(cli, "is_prime", refuse)
+        monkeypatch.setattr(cli.np.random, "default_rng", refuse)
+        monkeypatch.setattr(distribution, "_apply_step", refuse)
+
+    @pytest.mark.parametrize("argv, what", [
+        (("simulate", "--p", "101", "--steps", "1000000000", "--trials", "1"), "simulate"),
+        (("scan", "--p-min", "3", "--p-max", "1000000000"), "scan"),
+        (("scan", "--primes", "101", "--steps", "1000000000", "--dist", "0,1,0"), "scan"),
+        (("scan", "--primes", "3,5,9", "--steps", "10000000000"), "scan"),
+        # listing the candidates is charged even when no step is evolved
+        (("scan", "--p-min", "3", "--p-max", "1000000000000", "--steps", "0"), "scan"),
+        (("evolve", "--p", "67108859", "--steps", "100000"), "evolve"),
+    ])
+    def test_refused_before_any_work(self, capsys, no_work, argv, what):
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_line_error(code, err)
+        assert f"estimated {what} cost" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        # the benchmark's sizes, and a default-cap scan at the dense-vector guard
+        ("scan", "--primes", "4194301"),
+        ("evolve", "--p", "4194301", "--steps", "45"),
+        ("simulate", "--p", "1000003", "--steps", "60", "--trials", "1000000"),
+        ("scan", "--primes", "67108859"),
+        ("scan", "--p-min", "3", "--p-max", "10000"),
+    ])
+    def test_large_inputs_pass_the_check(self, capsys, no_work, argv):
+        with pytest.raises(AssertionError, match="work began"):
+            run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("limit, argv, cost", [
+        ("MAX_EVOLVE_COST", ("evolve", "--p", "11", "--steps", "{}"), lambda k: k * 11),
+        ("MAX_SCAN_COST", ("scan", "--primes", "101", "--steps", "{}"),
+         lambda k: (k + 1) * (101 + cli._STEP_UNITS)),
+        ("MAX_SCAN_COST", ("scan", "--p-min", "3", "--p-max", "31", "--steps", "{}"),
+         lambda k: 15 * (k + 1) * (31 + cli._STEP_UNITS)),
+        ("MAX_SIMULATE_COST", ("simulate", "--p", "11", "--steps", "{}", "--trials", "7"),
+         lambda k: (k + cli._TRIAL_UNITS) * (7 + cli._STEP_UNITS)),
+    ])
+    def test_limit_is_inclusive(self, capsys, monkeypatch, limit, argv, cost):
+        monkeypatch.setattr(cli, limit, cost(4))
+        code, _, err = run_cli(capsys, *(a.format(4) for a in argv))
+        assert code == 0, err
+        code, _, err = run_cli(capsys, *(a.format(5) for a in argv))
+        assert_one_line_error(code, err)
+        assert "cost" in err
+
+
+def mostly(common, *rare):
+    """`common` in about three draws of four, else one of `rare`."""
+    return st.one_of(common, common, common, st.one_of(*rare))
+
+
+class TestArgvFuzz:
+    """Any argv exits 0 with valid output or exits 1 with one `error:` line."""
+
+    HEADERS = {"evolve": "step,tvd,entropy_bits,support,typical99", "scan": "p,log2_p,",
+               "simulate": "# p="}
+
+    def check(self, schema, argv):
+        code, out, err = run_captured(*argv)
+        if code != 0:
+            assert_one_line_error(code, err)
+        elif "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+            assert out.startswith(self.HEADERS[argv[0]]), out[:80]
+        else:
+            jsonschema.validate(json.loads(out), schema)
+
+    odd = st.integers(min_value=1, max_value=5000).map(lambda k: 2 * k + 1)
+    raw = st.integers(min_value=-5, max_value=10**4)
+    dists = mostly(st.sampled_from(["1/3,1/3,1/3", "0.2,0.5,0.3", "0,1,0", "1,0,0"]),
+                   st.sampled_from(["0.5,0.6,-0.1", "1,2", "x,0,1"]))
+    formats = st.sampled_from(["csv", "json"])
+    negative = st.integers(min_value=-5, max_value=-1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=mostly(odd, raw, st.integers(min_value=2**26 + 1, max_value=2**40)),
+        steps=mostly(st.integers(min_value=0, max_value=200), negative,
+                     st.integers(min_value=129, max_value=MAX_TRACE_STEPS),
+                     st.integers(min_value=MAX_TRACE_STEPS + 1, max_value=10**12)),
+        dist=dists,
+        fmt=formats,
+    )
+    def test_evolve(self, schema, p, steps, dist, fmt):
+        if p <= 2**26 and steps <= MAX_TRACE_STEPS:
+            steps = min(steps, 200)  # keep the accepted runs small
+        self.check(schema, ["evolve", "--p", str(p), "--steps", str(steps), "--dist", dist,
+                            "--format", fmt])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        moduli=st.one_of(
+            st.lists(mostly(odd, raw, st.integers(min_value=2**26 + 1, max_value=2**40)),
+                     min_size=1, max_size=3).map(lambda ps: ["--primes", ",".join(map(str, ps))]),
+            st.tuples(st.integers(min_value=-5, max_value=2000),
+                      mostly(st.integers(min_value=-5, max_value=2000),
+                             st.integers(min_value=10**6, max_value=10**12)))
+            .map(lambda r: [f"--p-min={r[0]}", f"--p-max={r[1]}"]),
+        ),
+        steps=mostly(st.one_of(st.none(), st.integers(min_value=0, max_value=200)), negative,
+                     st.integers(min_value=10**8, max_value=10**12)),
+        composite=st.booleans(),
+        dist=dists,
+        fmt=formats,
+    )
+    def test_scan(self, schema, moduli, steps, composite, dist, fmt):
+        argv = ["scan", *moduli, "--dist", dist, "--format", fmt]
+        argv += [] if steps is None else [f"--steps={steps}"]
+        argv += ["--allow-composite"] if composite else []
+        self.check(schema, argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=mostly(odd, raw, st.integers(min_value=2**61 - 3, max_value=2**70)),
+        steps=mostly(st.integers(min_value=0, max_value=200), negative,
+                     st.integers(min_value=10**9, max_value=10**15)),
+        trials=mostly(st.integers(min_value=1, max_value=5000),
+                      st.integers(min_value=-5, max_value=0),
+                      st.integers(min_value=10**9, max_value=10**15)),
+        dist=dists,
+        fmt=formats,
+    )
+    def test_simulate(self, schema, p, steps, trials, dist, fmt):
+        self.check(schema, ["simulate", f"--p={p}", f"--steps={steps}", f"--trials={trials}",
+                            "--dist", dist, "--format", fmt])
+
+    @settings(max_examples=40, deadline=None)
+    @given(digits=st.text(alphabet="+-01 x", max_size=60))
+    def test_canon(self, schema, digits):
+        self.check(schema, ["canon", "--", digits])
+
+
 class TestInputContract:
     @pytest.mark.parametrize("dist", ["1/0,0,1", "0/0,0,1", "nan,0,1", "1/nan,0,1", "inf,0,1"])
     @pytest.mark.parametrize("command", [
@@ -522,6 +652,17 @@ class TestInputContract:
 
 
 class TestEntryPoint:
+    def test_package_import_loads_no_submodule(self):
+        src = str(Path(cdgproc.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cdgproc; "
+             "print(sorted(m for m in sys.modules if m.startswith('cdgproc.')), "
+             "cdgproc.__version__)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert proc.stdout == "[] 0.1.0\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cdgproc.cli", "canon", "+--"],

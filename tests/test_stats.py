@@ -111,11 +111,6 @@ class TestExhaustive:
         b = exhaustive_expectations(8, SequenceClass.FIRST_MINUS_ONE)
         np.testing.assert_array_equal(a.counts, b.counts)
 
-    def test_workers_do_not_change_result(self):
-        a = exhaustive_expectations(13)
-        b = exhaustive_expectations(13, workers=4)
-        np.testing.assert_array_equal(a.counts, b.counts)
-
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             exhaustive_expectations(15)
@@ -131,11 +126,6 @@ class TestMonteCarlo:
         b = monte_carlo_frequencies(500, 40, seed=9)
         np.testing.assert_array_equal(a.counts, b.counts)
         np.testing.assert_array_equal(a.freq_mean, b.freq_mean)
-
-    def test_workers_do_not_change_result(self):
-        a = monte_carlo_frequencies(2000, 64, seed=5)
-        b = monte_carlo_frequencies(2000, 64, seed=5, workers=4)
-        np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_matches_exhaustive_within_four_stderr(self):
         mc = monte_carlo_frequencies(12, 100_000, seed=7)
@@ -172,19 +162,18 @@ class TestMonteCarlo:
         np.testing.assert_allclose(rep.freq_mean, mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(rep.freq_stderr, stderr, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_chunking_does_not_change_result(self, monkeypatch, workers):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         base = monte_carlo_frequencies(20, 20_000, seed=8)
-        original, sizes = stats._map_chunks, []
+        original, chunks = stats._per_row_counts, []
 
-        def recording(fn, items, w):
-            sizes.append(len(items))
-            return original(fn, items, w)
+        def recording(codes):  # called once per chunk
+            chunks.append(codes.shape[0])
+            return original(codes)
 
-        monkeypatch.setattr(stats, "_map_chunks", recording)
+        monkeypatch.setattr(stats, "_per_row_counts", recording)
         monkeypatch.setattr(stats, "_CHUNK_CELLS", 1)
-        small = monte_carlo_frequencies(20, 20_000, seed=8, workers=workers)
-        assert sizes[0] >= 3
+        small = monte_carlo_frequencies(20, 20_000, seed=8)
+        assert len(chunks) >= 3
         np.testing.assert_array_equal(small.counts, base.counts)
         np.testing.assert_array_equal(small.freq_mean, base.freq_mean)
         np.testing.assert_array_equal(small.freq_stderr, base.freq_stderr)
