@@ -149,25 +149,45 @@ def _first_nonzero_sign(mat: np.ndarray) -> np.ndarray:
 def _canonicalize_matrix(mat: np.ndarray) -> np.ndarray:
     """Row-wise standard form of an int8 digit matrix.
 
-    Rows are first normalized to nonnegative value by their class sign, then a
-    borrow/carry sweep from the least significant position rewrites digits into
-    {0, 1}; the sign is applied back at the end.  No big integers involved.
+    Rows are first normalized to nonnegative value by their class sign.  The
+    right-to-left sweep would then carry c in {0, -1}, and the carry into
+    position k is -1 exactly when the nearest nonzero digit right of k is -1,
+    so bt_k = (b_k + c_k) & 1.  That nearest nonzero digit is found for all
+    positions at once by pointer doubling: in the pass with shift d = 1, 2,
+    4, ... a zero entry takes the entry d places to its right, so the passes
+    stop after about log2 of the longest zero run.  The sign is applied back
+    at the end.  No big integers and no loop over columns.
     """
-    rows, n = mat.shape
-    if n == 0:
+    if mat.shape[1] == 0:
         return mat.copy()
-    sign = _first_nonzero_sign(mat)
-    work = (mat * sign[:, None]).astype(np.int8)
-    out = np.empty_like(work)
-    carry = np.zeros(rows, dtype=np.int8)
-    for k in range(n - 1, -1, -1):
-        t = work[:, k] + carry
-        d = t & 1
-        out[:, k] = d
-        carry = (t - d) >> 1
-    # a nonnegative value below 2^n leaves no carry
-    assert not carry.any()
-    return out * sign[:, None]
+    sign = _first_nonzero_sign(mat)[:, None]
+    # one scratch buffer: the normalized digits, then each pass's step
+    scratch = np.empty(mat.shape, dtype=np.int8)
+    np.multiply(mat, sign, out=scratch)
+    # near[:, k]: nearest nonzero digit right of k, within the window so far.
+    # Each row ends in a 1 that stands for "none" (no carry) and stops every
+    # window inside its row, so the rows can be swept as one flat array.
+    near = np.empty_like(scratch)
+    flat = near.reshape(-1)
+    flat[:-1] = scratch.reshape(-1)[1:]
+    near[:, -1] = 1
+    d = 1
+    while d < flat.size:
+        head = flat[:-d]
+        zero = np.equal(head, 0, out=scratch.view(bool).reshape(-1)[:-d])
+        if not zero.any():
+            break
+        step = zero.view(np.int8)
+        step *= flat[d:]
+        head += step
+        d *= 2
+    near >>= 1  # the carry: -1 below a -1, else 0
+    # a nonnegative value below 2^n: position 0 emits no carry
+    assert not (mat[:, 0] * sign[:, 0] + near[:, 0] < 0).any()
+    near += mat  # b_k and sign * b_k have the same parity
+    near &= 1
+    near *= sign
+    return near
 
 
 def canonicalize(digits) -> CanonicalForm:

@@ -61,6 +61,9 @@ _CELLS = 6 * 4 * 2
 
 #: Monte Carlo refuses trials * (n + 48) above this: digits plus per-row cells.
 #: It also keeps the int64 sums of squares, at most trials * n^2 < 2^56, exact.
+#: Measured on a 2-core x86 VM: 4.3 ns a unit at n = 2, 7.6 at n = 20, 14 to 18
+#: at n = 100 to 1000, 14.4 at n = 100000 and 20 at n = 2^16 (one trial per
+#: substream), so the largest accepted input takes about 1.5 minutes.
 MAX_MC_COST = 1 << 32
 #: one row is the smallest chunk, so n alone sets the Monte Carlo memory
 MAX_MC_LENGTH = 1 << 24
@@ -70,6 +73,9 @@ _BLOCK_DIGITS = 1 << 16
 _CHUNK_DIGITS = 1 << 24
 #: ... and at most this many per-row cells, which bounds its per-row bookkeeping
 _CHUNK_CELLS = 1 << 20
+
+# cell code ((row * 4) + col) * 2 at [(b_prev + 1) * 12 + (b_cur + 1) * 4 + bt_prev * 2 + bt_cur]
+_CODE_LUT = ((_ROW_LUT[:, :, None, None] * 4 + _COL_LUT) * 2).astype(np.uint8).ravel()
 
 
 class AllZeroInputError(ValueError):
@@ -81,15 +87,24 @@ class TooLargeError(ValueError):
 
 
 def _pair_codes(raw: np.ndarray, canon: np.ndarray) -> np.ndarray:
-    """Cell code per position a: ((row * 4) + col) * 2 + parity(a).
+    """Cell code per position a: ((row * 4) + col) * 2 + parity(a), as uint8.
 
     raw must already be normalized to the first-1 orientation, so canon
-    entries are in {0, 1}.  Shape (rows, n) in, (rows, n-1) out.
+    entries are in {0, 1}.  The index
+    (b_{a-1} + 1) * 12 + (b_a + 1) * 4 + bt_{a-1} * 2 + bt_a is built in int8
+    in place and read through one 36-entry table.  Shape (rows, n) in,
+    (rows, n-1) out.
     """
-    row = _ROW_LUT[raw[:, :-1] + 1, raw[:, 1:] + 1].astype(np.int16)
-    col = _COL_LUT[canon[:, :-1], canon[:, 1:]].astype(np.int16)
-    parity = (np.arange(1, raw.shape[1], dtype=np.int16) & 1)[None, :]
-    return (row * 4 + col) * 2 + parity
+    idx = raw[:, :-1] * 3
+    idx += raw[:, 1:]
+    idx += 4
+    idx *= 2
+    idx += canon[:, :-1]
+    idx *= 2
+    idx += canon[:, 1:]
+    codes = _CODE_LUT[idx]
+    codes += (np.arange(1, raw.shape[1]) & 1).astype(np.uint8)
+    return codes
 
 
 def _aggregate_counts(codes: np.ndarray) -> np.ndarray:
@@ -268,9 +283,11 @@ class FrequencyReport:
 
 def _digit_matrix(lo: int, hi: int, n: int) -> np.ndarray:
     """Rows lo..hi-1 of the base-3 enumeration of all length-n strings."""
-    idx = np.arange(lo, hi, dtype=np.int64)[:, None]
     pows = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx // pows) % 3 - 1).astype(np.int8)
+    digits = np.arange(lo, hi, dtype=np.int64)[:, None] // pows
+    digits %= 3
+    digits -= 1
+    return digits.astype(np.int8)
 
 
 def exhaustive_expectations(

@@ -116,6 +116,63 @@ class TestCanonicalizeLong:
             assert np.array_equal(again.digits, form.digits)
 
 
+def _assert_rows_match_oracle(mat):
+    canon = _canonicalize_matrix(mat)
+    assert canon.shape == mat.shape
+    for row, form in zip(mat, canon):
+        assert form.tolist() == bigint_canonical(row)
+
+
+class TestCanonicalizeZeroRuns:
+    """Rows whose carry has to cross a zero run, at run lengths around powers of two.
+
+    Random digits almost never hold a zero run longer than about 20, so only
+    rows like these reach the late passes of the nearest-nonzero doubling and
+    check where it stops.
+    """
+
+    RUNS = sorted({2**k + e for k in range(13) for e in (-1, 0, 1)})
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_carry_crosses_the_run(self, run):
+        # 1, run zeros, -1 has the value 2^(run+1) - 1: the -1 borrows across the run
+        row = np.array([1] + [0] * run + [-1], dtype=np.int8)
+        _assert_rows_match_oracle(row[None, :])
+        _assert_rows_match_oracle(-row[None, :])
+        padded = np.concatenate([np.zeros(2, np.int8), row, np.zeros(run, np.int8)])
+        _assert_rows_match_oracle(padded[None, :])
+        # the same row among an all-zero, a first-minus-1 and a random row
+        rng = np.random.default_rng(run)
+        mixed = np.stack([
+            row,
+            np.zeros_like(row),
+            -row,
+            rng.integers(-1, 2, size=row.size, dtype=np.int8),
+        ])
+        _assert_rows_match_oracle(mixed)
+
+    def test_all_zero_rows(self):
+        for n in (1, 2, 3, 64, 4097):
+            mat = np.zeros((3, n), dtype=np.int8)
+            np.testing.assert_array_equal(_canonicalize_matrix(mat), mat)
+
+    def test_first_minus_one_rows(self):
+        rng = np.random.default_rng(7)
+        mat = rng.integers(-1, 2, size=(200, 40), dtype=np.int8)
+        mat[:, 0] = -1
+        mat[:50, 1:30] = 0
+        _assert_rows_match_oracle(mat)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_narrow_widths(self, n):
+        mat = all_digit_matrix(n)
+        assert mat.shape == (3**n, n)
+        _assert_rows_match_oracle(mat)
+
+    def test_no_rows(self):
+        assert _canonicalize_matrix(np.zeros((0, 5), dtype=np.int8)).shape == (0, 5)
+
+
 class TestDecomposeBlocks:
     def test_eleven_digit_example(self):
         dec = decompose_blocks(EXAMPLE)

@@ -1,8 +1,11 @@
+import hashlib
+from itertools import product
+
 import numpy as np
 import pytest
 
 from cdgproc import stats
-from cdgproc.canonical import SequenceClass, TABLE_LIMITS
+from cdgproc.canonical import SequenceClass, TABLE_LIMITS, _canonicalize_matrix, pair_cell
 from cdgproc.process import IncrementDistribution
 from cdgproc.stats import (
     AllZeroInputError,
@@ -23,6 +26,26 @@ from oracles import (
 )
 
 EXAMPLE = [0, 0, 1, -1, 0, 1, 0, 1, -1, 1, 1]
+
+# (n, trials, seed) -> (the 48 summed counts, sha256 of freq_mean and freq_stderr
+# bytes), recorded with the column-sweep canonicalizer: draws, counts and stderrs
+# must stay the same for every seed
+PINNED_MC = {
+    (100000, 6, 31): (
+        [0, 0, 0, 0, 16574, 16600, 16831, 16671, 33406, 33320, 33493, 33403,
+         33434, 33411, 33359, 33425, 16626, 16540, 16736, 16448, 0, 0, 0, 0,
+         0, 0, 0, 0, 16597, 16717, 16759, 16609, 0, 0, 16652, 16701,
+         0, 0, 16359, 16638, 16585, 16880, 16583, 16637, 0, 0, 0, 0],
+        "5575bddd6b0a259f8fdfd1da3031a002a3e290b475b6da7f729a2dddc026ae20",
+    ),
+    (20, 20000, 5): (
+        [0, 0, 0, 0, 10823, 13509, 10158, 11152, 19779, 22050, 18984, 19554,
+         19378, 19850, 19126, 19562, 9940, 11081, 10946, 13486, 0, 0, 0, 0,
+         0, 0, 0, 0, 10032, 11206, 9328, 8639, 0, 0, 10144, 11280,
+         0, 0, 10634, 13797, 9977, 10977, 10751, 13857, 0, 0, 0, 0],
+        "6a7c06125119964580af10e04d42326cd018997592343c04cda902b974d2b9f1",
+    ),
+}
 
 
 def _signs(mat):
@@ -79,6 +102,34 @@ class TestCountPairs:
             minus = count_pairs(-row)
             np.testing.assert_array_equal(plus.cells, minus.cells)
             assert minus.sequence_class is SequenceClass.FIRST_MINUS_ONE
+
+
+class TestPairCodes:
+    COMBOS = list(product((-1, 0, 1), (-1, 0, 1), (0, 1), (0, 1)))
+
+    def test_table_matches_pair_cell(self):
+        raw = np.array([c[:2] for c in self.COMBOS], dtype=np.int8)
+        canon = np.array([c[2:] for c in self.COMBOS], dtype=np.int8)
+        codes = stats._pair_codes(raw, canon)
+        assert codes.shape == (36, 1)
+        for (b_prev, b_cur, bt_prev, bt_cur), code in zip(self.COMBOS, codes[:, 0].tolist()):
+            row, col = pair_cell(b_prev, b_cur, bt_prev, bt_cur)
+            assert code // 2 == row * 4 + col
+            assert code % 2 == 1  # position a = 1
+
+    def test_uint8_codes_below_48_with_parity(self):
+        mat = np.random.default_rng(4).integers(-1, 2, size=(300, 41), dtype=np.int8)
+        sign = _signs(mat)
+        work = mat[sign != 0] * sign[sign != 0, None]
+        codes = stats._pair_codes(work, _canonicalize_matrix(work))
+        assert codes.dtype == np.uint8
+        assert codes.shape == (work.shape[0], 40)
+        assert codes.max() < 48
+        assert (codes % 2 == np.arange(1, 41) % 2).all()  # parity of a
+
+    def test_width_one_has_no_codes(self):
+        raw = np.ones((5, 1), dtype=np.int8)
+        assert stats._pair_codes(raw, raw).shape == (5, 0)
 
 
 class TestExhaustive:
@@ -161,6 +212,23 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(rep.counts, counts)
         np.testing.assert_allclose(rep.freq_mean, mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(rep.freq_stderr, stderr, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, trials, seed", [(20, 5000, 21), (300, 400, 22)])
+    def test_counts_match_bigint_tally(self, n, trials, seed):
+        # pure-Python cells over the same draws, with no library counting code
+        rows = block_substream_rows(n, trials, seed, block=max(1, 2**16 // n))
+        nonzero = [r for r in rows if r.any()]
+        rep = monte_carlo_frequencies(n, trials, seed)
+        assert rep.trials == len(nonzero)
+        np.testing.assert_array_equal(rep.counts, sum(naive_pair_cells(r) for r in nonzero))
+
+    @pytest.mark.parametrize("args", list(PINNED_MC))
+    def test_seeded_outputs_pinned(self, args):
+        counts, digest = PINNED_MC[args]
+        rep = monte_carlo_frequencies(*args)
+        assert rep.counts.ravel().tolist() == counts
+        moments = rep.freq_mean.tobytes() + rep.freq_stderr.tobytes()
+        assert hashlib.sha256(moments).hexdigest() == digest
 
     def test_chunking_does_not_change_result(self, monkeypatch):
         base = monte_carlo_frequencies(20, 20_000, seed=8)
