@@ -13,6 +13,7 @@ that window is evolved; it is embedded into the dense vector once, at the switch
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -38,6 +39,17 @@ __all__ = [
 
 #: dense-vector memory guard; override explicitly for larger moduli
 DEFAULT_MAX_MODULUS = 1 << 26
+
+#: values per block of the trace functionals: 2^15 float64 values (256 KiB) stay in cache
+_BLOCK = 1 << 15
+#: `typical_set_size` sorts vectors up to this length: the histogram costs a fixed ~50 us
+#: and overtakes the sort between 8191 values (92 us against 98 us) and 16383 (178 us
+#: against 143 us), measured on window vectors of a p = 4194301 walk
+_SORT_MAX = 1 << 13
+#: most buckets of the typical-set histogram; each block's bincount allocates and adds
+#: this many doubles, so it stays well below `_BLOCK`
+_MAX_BUCKETS = 1 << 13
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 class ModulusTooLargeError(ValueError):
@@ -179,24 +191,56 @@ def evolve_with_trace(
     return _embed(mass, p), rows
 
 
+def _fold(dist: np.ndarray, term, combine=operator.add, dtype=np.float64):
+    """term(x, buf) of each consecutive block x of `dist`, combined left to right.
+
+    Blocks hold at most `_BLOCK` values, and `buf` is one scratch buffer of
+    `dtype` for all of them, cut to x's length.  A vector of one block is one
+    call on the whole of it with `buf` None, so that its outputs are allocated
+    as they would be without blocks.
+    """
+    if dist.size <= _BLOCK:
+        return term(dist, None)
+    buf = np.empty(_BLOCK, dtype)
+    total = term(dist[:_BLOCK], buf)
+    for i in range(_BLOCK, dist.size, _BLOCK):
+        x = dist[i : i + _BLOCK]
+        total = combine(total, term(x, buf[: x.size]))
+    return total
+
+
 def tvd_uniform(dist: np.ndarray, p: int | None = None) -> float:
     """Total variation distance from uniform: 0.5 * sum |mass(s) - 1/p|.
 
-    `p` defaults to len(dist); the p - len(dist) residues missing from `dist` have mass 0.
+    `p` defaults to len(dist); the p - len(dist) residues missing from `dist`
+    have mass 0.  The sum runs over blocks of `_BLOCK` values.
     """
     dist = np.asarray(dist, dtype=np.float64)
     p = dist.size if p is None else p
-    dev = dist - 1.0 / p
-    np.abs(dev, out=dev)
-    return float(0.5 * (dev.sum() + (p - dist.size) / p))
+
+    def term(x, buf):
+        dev = np.subtract(x, 1.0 / p, out=buf)
+        return np.abs(dev, out=dev).sum()
+
+    return float(0.5 * (_fold(dist, term) + (p - dist.size) / p))
 
 
 def entropy_bits(dist: np.ndarray) -> float:
-    """Shannon entropy in bits, with 0*log(0) = 0."""
+    """Shannon entropy in bits of nonnegative masses, with 0*log(0) = 0.
+
+    Each mass x adds x * log2(max(x, smallest subnormal)): that is x * log2(x)
+    for x > 0 and 0 for x = 0, with no mask.  The sum runs over blocks of
+    `_BLOCK` values.
+    """
     dist = np.asarray(dist, dtype=np.float64)
-    m = dist[dist > 0.0]
+
+    def term(x, buf):
+        logs = np.maximum(x, _TINY, out=buf)
+        np.log2(logs, out=logs)
+        return np.multiply(logs, x, out=logs).sum()
+
     # + 0.0 normalizes the -0.0 a point mass would produce
-    return float(-(m * np.log2(m)).sum() + 0.0)
+    return float(-_fold(dist, term) + 0.0)
 
 
 def support_size(dist: np.ndarray, threshold: float = 0.0) -> int:
@@ -204,15 +248,83 @@ def support_size(dist: np.ndarray, threshold: float = 0.0) -> int:
     if threshold < 0:
         raise ValueError(f"threshold {threshold} is negative")
     dist = np.asarray(dist, dtype=np.float64)
-    return int((dist > threshold).sum())
+    return int(np.count_nonzero(dist > threshold))
+
+
+def _running_sums(above: float, masses: np.ndarray) -> np.ndarray:
+    """Running sums of `masses` added to `above` one at a time, largest first.
+
+    This is the order in which a sort of the whole vector would add them.
+    """
+    cum = np.sort(masses)[::-1]
+    if above:
+        cum[0] += above
+    return np.cumsum(cum)
 
 
 def typical_set_size(dist: np.ndarray, delta: float) -> int:
-    """Smallest k such that the k largest masses sum to at least 1 - delta."""
+    """Smallest k such that the k largest masses sum to at least 1 - delta.
+
+    Masses are nonnegative (-0.0 counts as 0); if all of them sum to less than
+    1 - delta the answer is len(dist).  Up to `_SORT_MAX` values the masses
+    are sorted.  Longer vectors are selected by a histogram: nonnegative
+    doubles order like their int64 bit patterns, so a mass falls in the bucket
+    given by the top bits of (bits - lo), lo the smallest positive pattern
+    (zeros join bucket 0), with about len/16 and at most `_MAX_BUCKETS`
+    buckets.  One weighted bincount per block of `_BLOCK` values tallies the
+    mass of each bucket.  Summed from the top bucket down, these masses locate
+    the bucket in which 1 - delta is reached, and only that bucket is sorted.
+    Should rounding leave its masses short of 1 - delta, the count goes on
+    into the next nonempty bucket down.  The buckets' masses are added in
+    another order than the sort would add them, so where a partial sum lies
+    within rounding of 1 - delta the two counts can differ.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta} must be in (0, 1)")
     dist = np.asarray(dist, dtype=np.float64)
-    ordered = np.sort(dist)[::-1]
-    cum = np.cumsum(ordered)
-    idx = int(np.searchsorted(cum, 1.0 - delta, side="left"))
-    return min(idx, dist.size - 1) + 1
+    n, target = dist.size, 1.0 - delta
+    if n <= _SORT_MAX:
+        cum = _running_sums(0.0, dist)
+        return min(int(np.searchsorted(cum, target, side="left")), n - 1) + 1
+    hi = int(dist.view(np.int64).max())  # -0.0 is INT64_MIN, below every positive pattern
+    if hi <= 0:  # no positive mass
+        return n
+    # less 1, the patterns of 0 and -0.0 wrap above every positive one
+    lo = 1 + int(_fold(dist.view(np.uint64), lambda x, buf: np.subtract(x, 1, out=buf).min(),
+                       min, np.uint64))
+    shift = max((hi - lo).bit_length() + 1 - min(n >> 4, _MAX_BUCKETS).bit_length(), 0)
+    buckets = ((hi - lo) >> shift) + 1
+
+    def tally(x, buf):
+        idx = np.maximum(x.view(np.int64), lo, out=buf)
+        idx -= lo
+        idx >>= shift
+        return np.bincount(idx, weights=x, minlength=buckets)
+
+    hist = _fold(dist, tally, operator.iadd, np.int64)
+    from_top = np.cumsum(hist[::-1])
+    c = max(buckets - 1 - int(np.searchsorted(from_top, target, side="left")), 0)
+    above = float(from_top[buckets - 2 - c]) if c < buckets - 1 else 0.0
+    ceiling = lo + ((c + 1) << shift)  # the smallest pattern above bucket c
+
+    def split(x, buf):  # bucket c's masses of x go to parts; returns the count above it
+        b = x.view(np.int64)
+        inside = np.greater_equal(b, floor, out=buf)
+        inside &= b < ceiling
+        parts.append(x[inside])
+        return np.count_nonzero(b >= ceiling)
+
+    while True:
+        floor = lo + (c << shift) if c else np.iinfo(np.int64).min
+        parts = []
+        count = int(_fold(dist, split, dtype=bool))
+        cum = _running_sums(above, np.concatenate(parts))
+        k = int(np.searchsorted(cum, target, side="left"))
+        if k < cum.size:
+            return count + k + 1
+        above = float(cum[-1])
+        # the buckets between are empty, and zeros add nothing
+        lower = np.flatnonzero(hist[:c] > 0.0)
+        if not lower.size:
+            return n
+        c, ceiling = int(lower[-1]), floor

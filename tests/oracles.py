@@ -3,11 +3,14 @@
 Everything here deliberately avoids the library's production code paths:
 values come from Horner evaluation, standard forms from big-integer binary
 expansion, distributions from direct enumeration of all increment strings,
-and pair cells from a hand-written classification.
+pair cells from a hand-written classification, trace functionals from a full
+sort and whole-vector numpy formulas, and Fourier coefficients of the exact law
+from the Chung-Diaconis-Graham product.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import product
 
@@ -158,3 +161,49 @@ def per_trial_moments(cells: np.ndarray, n: int):
     freqs = cells / n
     stderr = freqs.std(axis=0, ddof=1) / np.sqrt(len(cells))
     return cells.sum(axis=0), freqs.mean(axis=0), stderr
+
+
+def sorted_typical_set_size(dist, delta: float) -> int:
+    """Typical-set size by a full sort: masses summed largest first until they reach 1 - delta."""
+    dist = np.asarray(dist, dtype=np.float64)
+    ordered = np.sort(dist)[::-1]
+    cum = np.cumsum(ordered)
+    idx = int(np.searchsorted(cum, 1.0 - delta, side="left"))
+    return min(idx, dist.size - 1) + 1
+
+
+def whole_vector_tvd_uniform(dist, p: int | None = None) -> float:
+    """0.5 * sum |mass - 1/p| over one p-sized temporary; missing residues have mass 0."""
+    dist = np.asarray(dist, dtype=np.float64)
+    p = dist.size if p is None else p
+    return float(0.5 * (np.abs(dist - 1.0 / p).sum() + (p - dist.size) / p))
+
+
+def masked_entropy_bits(dist) -> float:
+    """Shannon entropy in bits over the positive masses only."""
+    dist = np.asarray(dist, dtype=np.float64)
+    m = dist[dist > 0.0]
+    return float(-(m * np.log2(m)).sum() + 0.0)
+
+
+def fourier_coefficient(mass, p: int, xi: int) -> complex:
+    """sum_x mass[x] e^(2 pi i xi x / p) of a dense vector, or of a window of the integers -w..w."""
+    mass = np.asarray(mass, dtype=np.float64)
+    w = mass.size // 2 if mass.size < p else 0
+    x = np.arange(mass.size, dtype=np.int64) - w
+    return complex(np.sum(mass * np.exp(2j * np.pi * ((x * xi) % p) / p)))
+
+
+def fourier_product(q, n: int, p: int, xi: int) -> complex:
+    """prod_{j<n} phi(2^j xi / p), phi(t) = q0 + q+ e^(2 pi i t) + q- e^(-2 pi i t).
+
+    By Chung, Diaconis and Graham (1987) this is the Fourier coefficient at xi of
+    the law of X_n, X_{k+1} = 2 X_k + b_k (mod p), X_0 = 0, with b_k drawn from
+    q = (q-, q0, q+): X_n = sum_j 2^j b_{n-1-j} and the b_j are independent.
+    """
+    q_minus, q_zero, q_plus = q
+    out = 1.0 + 0.0j
+    for j in range(n):
+        theta = 2.0 * math.pi * (pow(2, j, p) * xi % p) / p
+        out *= q_zero + q_plus * cmath.exp(1j * theta) + q_minus * cmath.exp(-1j * theta)
+    return out

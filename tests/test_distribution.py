@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdgproc.distribution import (
+    _BLOCK,
+    _SORT_MAX,
     ModulusMismatchError,
     ModulusTooLargeError,
     entropy_bits,
@@ -19,7 +21,19 @@ from cdgproc.distribution import (
     typical_set_size,
 )
 from cdgproc.process import IncrementDistribution, ProcessParams
-from oracles import brute_force_distribution
+from oracles import (
+    brute_force_distribution,
+    fourier_coefficient,
+    fourier_product,
+    masked_entropy_bits,
+    sorted_typical_set_size,
+    whole_vector_tvd_uniform,
+)
+
+#: masses from the subnormal range up to 1e-100, far below every dyadic mass in use
+TINY_MASSES = (5e-324, 7 * 5e-324, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-100)
+#: lengths on both sides of the sort cutoff and of one block
+EDGE_SIZES = (1, 2, 3, _SORT_MAX - 1, _SORT_MAX, _SORT_MAX + 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 
 
 class TestInitialDist:
@@ -290,3 +304,155 @@ class TestTrace:
             assert row.entropy_bits == pytest.approx(entropy_bits(dist), rel=1e-13, abs=1e-15)
             assert row.support == support_size(dist)
             assert row.typical == typical_set_size(dist, 0.05)
+
+
+@st.composite
+def dyadic_masses(draw):
+    """Masses w * 2^-e for integers w whose total is below 2^53, plus zeros, -0.0 and tiny masses.
+
+    Every partial sum of the dyadic masses is exact, and the tiny ones vanish
+    next to them, so every summation order gives the same sums: a count that
+    differs from the sort's is a wrong count, not rounding.
+    """
+    size = draw(st.one_of(
+        st.sampled_from(EDGE_SIZES),
+        st.integers(1, 3 * _SORT_MAX),
+        st.integers(1, 16).map(lambda k: 2**k - 1),  # window lengths
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 2**20))  # few levels make many ties
+    w = rng.integers(0, levels, size=size, endpoint=True)
+    w <<= rng.integers(0, draw(st.integers(0, 16)), size=size, endpoint=True)
+    w[rng.random(size) < draw(st.floats(0.0, 1.0))] = 0
+    scale = max(int(w.sum()), 1).bit_length() + draw(st.integers(0, 3))  # total below 1
+    mass = np.ldexp(w.astype(np.float64), -scale)
+    mass[(w == 0) & (rng.random(size) < 0.5)] = -0.0
+    spots = rng.integers(0, size, size=draw(st.integers(0, 4)))
+    mass[spots] = rng.choice(TINY_MASSES, size=spots.size)
+    return mass
+
+
+class TestBlockedFunctionals:
+    @settings(max_examples=150, deadline=None)
+    @given(masses=dyadic_masses(), data=st.data())
+    def test_typical_equals_sort_oracle(self, masses, data):
+        delta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        if data.draw(st.booleans()):  # 1 - delta equal to a partial sum, where it can be
+            cum = np.cumsum(np.sort(masses)[::-1])
+            tie = 1.0 - float(cum[data.draw(st.integers(0, masses.size - 1))])
+            delta = tie if 0.0 < tie < 1.0 else delta
+        assert typical_set_size(masses, delta) == sorted_typical_set_size(masses, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.one_of(st.sampled_from(EDGE_SIZES), st.integers(1, 3 * _BLOCK)),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.floats(0.0, 1.0),
+        skew=st.floats(1.0, 40.0),
+        missing=st.integers(0, 2**20),
+    )
+    def test_tvd_and_entropy_match_whole_vector_formulas(self, size, seed, zeros, skew, missing):
+        rng = np.random.default_rng(seed)
+        mass = rng.random(size) ** skew
+        mass[rng.random(size) < zeros] = 0.0
+        mass[rng.integers(0, size, size=3)] = rng.choice(TINY_MASSES, size=3)
+        mass /= mass.sum() if mass.sum() > 0 else 1.0
+        mass[(mass == 0.0) & (rng.random(size) < 0.5)] = -0.0
+        p = size + missing  # a window: the residues beyond `size` have mass 0
+        assert abs(tvd_uniform(mass, p) - whole_vector_tvd_uniform(mass, p)) <= 1e-12
+        assert abs(tvd_uniform(mass) - whole_vector_tvd_uniform(mass)) <= 1e-12
+        assert abs(entropy_bits(mass) - masked_entropy_bits(mass)) <= 1e-12
+
+    def test_negative_zero_regression(self):
+        # the bit pattern of -0.0 is INT64_MIN; it must count as a zero mass
+        assert typical_set_size(np.array([-0.0, 1.0]), 0.01) == 1
+        long = np.full(3 * _SORT_MAX, -0.0)
+        long[[5, 700, 9000]] = [0.5, 0.25, 0.25]
+        for delta in (0.01, 0.5, 0.7):
+            assert typical_set_size(long, delta) == sorted_typical_set_size(long, delta)
+        assert typical_set_size(np.full(3 * _SORT_MAX, -0.0), 0.5) == 3 * _SORT_MAX
+        assert entropy_bits(long) == masked_entropy_bits(long) == 1.5
+
+    def test_ties_on_bucket_edges(self):
+        # powers of two above the smallest one differ from it by whole exponents,
+        # so with the smallest a power of two every mass lies on a bucket edge
+        rng = np.random.default_rng(8)
+        for size in (_SORT_MAX + 1, 3 * _SORT_MAX, 2 * _BLOCK + 3):
+            mass = np.ldexp(1.0, -rng.integers(16, 40, size=size))
+            mass[rng.random(size) < 0.2] = 0.0
+            cum = np.cumsum(np.sort(mass)[::-1])
+            deltas = [1.0 - c for c in cum[:: max(size // 50, 1)] if 0.0 < 1.0 - c < 1.0]
+            for delta in deltas + [1e-300, 0.01, 0.5, 0.999]:
+                assert typical_set_size(mass, delta) == sorted_typical_set_size(mass, delta)
+
+    def test_rounding_short_of_the_target_continues_into_the_next_bucket(self):
+        # Summed in the order of the sort, 0.5 + k * (2^-20 + 2^-54) rounds down to
+        # 0.5 + k * 2^-20 at every step (a tie, rounded to even), while the bucket
+        # of those 2000 masses sums them exactly.  With 1 - delta equal to that
+        # exact sum, the bucket falls short and the count is the first 2^-30 mass.
+        mass = np.concatenate(([0.5], np.full(2000, 2.0**-20 + 2.0**-54), np.full(8000, 2.0**-30)))
+        np.random.default_rng(3).shuffle(mass)
+        target = 0.5 + 2000 * (2.0**-20 + 2.0**-54)
+        delta = 1.0 - target
+        assert 1.0 - delta == target
+        assert sorted_typical_set_size(mass, delta) == 2002
+        assert typical_set_size(mass, delta) == 2002
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(10007, (1 / 3, 1 / 3, 1 / 3)), (100003, (0.2, 0.5, 0.3)), (10007, (1e-300, 0.0, 1.0)),
+         (100003, (0.0, 0.5, 0.5))],
+    )
+    def test_evolve_vectors_match_oracles(self, p, q):
+        params = ProcessParams(p, IncrementDistribution(*q))
+        for _, mass in iter_evolve(params, 24):
+            for delta in (1e-300, 1e-12, 0.01, 0.3, 0.5, 0.99):
+                assert typical_set_size(mass, delta) == sorted_typical_set_size(mass, delta)
+            assert abs(tvd_uniform(mass, p) - whole_vector_tvd_uniform(mass, p)) <= 1e-12
+            assert abs(entropy_bits(mass) - masked_entropy_bits(mass)) <= 1e-12
+
+
+#: (p, steps, law) -> (typical, support) columns of evolve_with_trace, recorded
+#: with the full-sort typical set and the whole-vector support count
+PINNED_COLUMNS = {
+    (10007, 30, (1 / 3, 1 / 3, 1 / 3)): (
+        [1, 3, 7, 15, 31, 61, 120, 237, 474, 945, 1886, 3764, 7517, 9501, 9789, 9863, 9892,
+         9900, 9904, 9906, 9906] + [9907] * 10,
+        [1, 3, 7, 15, 31, 63, 127, 255, 511, 1023, 2047, 4095, 8191] + [10007] * 18,
+    ),
+    (100003, 40, (0.2, 0.5, 0.3)): (
+        [1, 3, 7, 14, 29, 57, 114, 228, 455, 910, 1820, 3639, 7277, 14554, 29108, 58215, 98212,
+         98922, 98961, 98996, 99000] + [99003] * 20,
+        [1, 3, 7, 15, 31, 63, 127, 255, 511, 1023, 2047, 4095, 8191, 16383, 32767, 65535]
+        + [100003] * 25,
+    ),
+    (101, 20, (1e-300, 0.0, 1.0)): ([1] * 21, list(range(1, 22))),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_COLUMNS))
+def test_pinned_integer_columns(key):
+    p, steps, q = key
+    _, rows = evolve_with_trace(ProcessParams(p, IncrementDistribution(*q)), steps)
+    typical, support = PINNED_COLUMNS[key]
+    assert [r.typical for r in rows] == typical
+    assert [r.support for r in rows] == support
+
+
+class TestFourierOracle:
+    #: the largest prime below 2^20: windows up to step 18, dense vectors from step 19
+    P = 1048573
+
+    @pytest.mark.parametrize("q", [(1 / 3, 1 / 3, 1 / 3), (0.2, 0.5, 0.3)])
+    def test_iter_evolve_matches_the_product_formula(self, q):
+        params = ProcessParams(self.P, IncrementDistribution(*q))
+        xis = [int(x) for x in np.random.default_rng(1987).integers(1, self.P, size=3)]
+        checked = []
+        for k, mass in iter_evolve(params, 24):
+            if k not in (6, 18, 19, 24):
+                continue
+            checked.append((k, mass.size < self.P))
+            for xi in xis:
+                got = fourier_coefficient(mass, self.P, xi)
+                assert abs(got - fourier_product(q, k, self.P, xi)) <= 1e-12, (k, xi)
+        assert checked == [(6, True), (18, True), (19, False), (24, False)]
