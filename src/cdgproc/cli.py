@@ -362,6 +362,9 @@ def cmd_simulate(args) -> int:
         "plug-in TVD is biased upward by roughly sqrt(p/(2*pi*trials)) "
         "when trials is not much larger than p"
     )
+    # the histogram rows are formatted straight from the arrays: a dict of every
+    # endpoint would set the peak memory
+    residues, counts = residues.tolist(), counts.tolist()
     if args.format == "csv":
         lines = [
             f"# p={p} steps={args.steps} trials={args.trials} seed={args.seed}",
@@ -369,10 +372,10 @@ def cmd_simulate(args) -> int:
             f"# {bias_note}",
             "residue,count",
         ]
-        lines += [f"{int(r)},{int(c)}" for r, c in zip(residues, counts)]
+        lines += map("{},{}".format, residues, counts)
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit_json(
+        head = json.dumps(
             {
                 "command": "simulate",
                 "p": p,
@@ -382,11 +385,15 @@ def cmd_simulate(args) -> int:
                 "dist": probs,
                 "tvd_estimate": float(tvd),
                 "bias_note": bias_note,
-                "distinct_endpoints": int(residues.size),
-                "histogram": {str(int(r)): int(c) for r, c in zip(residues, counts)},
+                "distinct_endpoints": len(residues),
+                "histogram": {},
             },
-            args.out,
+            indent=2,
+            allow_nan=False,
         )
+        rows = ",\n".join(map('    "{}": {}'.format, residues, counts))
+        # head ends with the empty histogram '{}' and the closing '\n}'
+        _emit(f"{head[:-4]}{{\n{rows}\n  }}\n}}\n", args.out)
     return 0
 
 

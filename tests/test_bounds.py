@@ -19,7 +19,7 @@ from cdgproc.bounds import (
     stirling_upper_bound,
 )
 from oracles import direct_region_count, pascal_binomial_tail, string_count_in_region
-from cdgproc.bounds import _region_ranges
+from cdgproc.bounds import _log_factorial, _logsumexp, _region_ranges
 
 
 class TestConstants:
@@ -104,6 +104,78 @@ class TestBinomialTail:
             log2_binomial_tail(0, 0.01)
         with pytest.warns(UserWarning):
             assert log2_binomial_tail(10, 0.7) == pytest.approx(10.0, rel=1e-12)
+
+
+class TestLogFactorial:
+    @staticmethod
+    def assert_close(ks, got):
+        for k, g in zip(ks, got):
+            want = math.lgamma(k + 1.0)
+            assert abs(g - want) <= 2e-15 * abs(want), k
+
+    def test_every_k_across_table_and_series(self):
+        # 0..255 come from the table, 256 on from Stirling's series
+        ks = list(range(1001))
+        self.assert_close(ks, _log_factorial(np.arange(1001)).tolist())
+
+    def test_seeded_sample_up_to_2e8(self):
+        ks = np.random.default_rng(20000).integers(256, 2 * 10**8, 5000)
+        self.assert_close(ks.tolist(), _log_factorial(ks).tolist())
+
+    def test_scalar_matches_array(self):
+        for k in (0, 1, 255, 256, 10**6):
+            assert _log_factorial(k) == _log_factorial(np.array([k]))[0]
+
+
+class TestLogSumExp:
+    @staticmethod
+    def direct(xs):
+        return math.log(math.fsum(math.exp(x) for x in xs))
+
+    def test_mixed_magnitudes(self):
+        for xs in ([-700.0, -30.5, 0.25, 12.0, 700.0], [1e-3, 2e-3], [-5.0], [3.0, 3.0, 3.0]):
+            assert _logsumexp(xs) == pytest.approx(self.direct(xs), rel=1e-15, abs=1e-15)
+
+    def test_negative_infinite_entries_add_nothing(self):
+        xs = [-math.inf, 1.5, -math.inf, -2.0]
+        assert _logsumexp(xs) == pytest.approx(self.direct([1.5, -2.0]), rel=1e-15)
+        assert _logsumexp(np.array(xs)) == _logsumexp([1.5, -2.0])
+
+    def test_all_negative_infinite(self):
+        assert _logsumexp([-math.inf]) == -math.inf
+        assert _logsumexp(np.full(4, -np.inf)) == -math.inf
+
+
+class TestLogGammaAgainstBigIntegers:
+    """The log-gamma counts at n = 20000, eps = 0.005 against exact integers."""
+
+    N, EPS = 20000, 0.005
+
+    def test_binomial_tail(self):
+        lo, hi = math.ceil((0.4 - self.EPS) * self.N), math.floor((0.4 + self.EPS) * self.N)
+        term, total = math.comb(self.N, lo), 0
+        for j in range(lo, hi + 1):
+            total += term
+            term = term * (self.N - j) // (j + 1)
+        assert log2_binomial_tail(self.N, self.EPS) == pytest.approx(math.log2(total), rel=1e-12)
+
+    def test_region_r(self):
+        # C(m, l1) 3^(m - l1) for l1 = 0..cap, each term from the previous one
+        m = self.N // 2
+        region = CountRegion("R", self.N, self.EPS)
+        cap = _region_ranges(region)[0][1]
+        term, total = 3**m, 0
+        for l1 in range(cap + 1):
+            total += term
+            term = term * (m - l1) // (3 * (l1 + 1))
+        got = multinomial_region_count(region, method="lgamma")
+        assert got.log2_count == pytest.approx(math.log2(total), rel=1e-12)
+
+    def test_region_s(self):
+        region = CountRegion("S", self.N, self.EPS)
+        exact = multinomial_region_count(region, method="exact")
+        got = multinomial_region_count(region, method="lgamma")
+        assert got.log2_count == pytest.approx(math.log2(exact.count), rel=1e-12)
 
 
 class TestCountRegion:

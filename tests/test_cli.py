@@ -459,6 +459,19 @@ class TestSimulate:
         assert any(line.startswith("# tvd_estimate=") for line in lines)
         assert "residue,count" in lines
 
+    @pytest.mark.parametrize("steps", ["0", "1", "9"])
+    def test_histogram_text_matches_dumped_dict(self, capsys, steps):
+        # the histogram is written from arrays; the text must equal the dump of the dict
+        args = ("simulate", "--p", "10007", "--steps", steps, "--trials", "3000", "--seed", "5")
+        _, out, _ = run_cli(capsys, *args)
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+        rows = csv_out.splitlines()
+        assert rows[rows.index("residue,count") + 1:] == [
+            f"{r},{c}" for r, c in payload["histogram"].items()]
+        assert csv_out.endswith("\n")
+
 
 class TestCostLimits:
     @pytest.fixture
@@ -662,6 +675,18 @@ class TestEntryPoint:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
         )
         assert proc.stdout == "[] 0.1.0\n"
+
+    def test_cli_import_loads_no_package_beyond_numpy(self):
+        # start-up stays lean: every subcommand pays for what cdgproc.cli imports
+        src = str(Path(cdgproc.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, numpy; before = set(sys.modules); import cdgproc.cli; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+             " - {'cdgproc', 'numpy'} - set(sys.stdlib_module_names)))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert proc.stdout == "[]\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(
