@@ -187,10 +187,18 @@ def _tail_range(n: int, eps: float) -> tuple[int, int]:
     return lo, hi
 
 
+def _binomial_sum(t: int, lo: int, hi: int) -> int:
+    """Exact sum of C(t, a) over lo <= a <= hi, each term from the previous one."""
+    term, total = math.comb(t, lo), 0
+    for a in range(lo, hi + 1):
+        total += term
+        term = term * (t - a) // (a + 1)
+    return total
+
+
 def binomial_tail_count(n: int, eps: float) -> int:
     """Exact sum of C(n, j) for ceil((0.4-eps) n) <= j <= floor((0.4+eps) n)."""
-    lo, hi = _tail_range(n, eps)
-    return sum(math.comb(n, j) for j in range(lo, hi + 1))
+    return _binomial_sum(n, *_tail_range(n, eps))
 
 
 def log2_binomial_tail(n: int, eps: float) -> float:
@@ -286,17 +294,10 @@ def multinomial_region_count(region: CountRegion, method: str = "auto") -> Regio
     if s_lo > s_hi:
         raise EmptyRegionError(f"{region} contains no integer tuple")
     if method == "exact":
-        def pair_sum(t, lo_a, hi_a, lo_b, hi_b):
-            # sum of C(t, a) over the allowed a, each term from the previous one
-            lo, hi = max(lo_a, t - hi_b), min(hi_a, t - lo_b)
-            term, total = math.comb(t, lo), 0
-            for a in range(lo, hi + 1):
-                total += term
-                term = term * (t - a) // (a + 1)
-            return total
-
         count = sum(
-            math.comb(m, s) * pair_sum(s, lo1, hi1, lo4, hi4) * pair_sum(m - s, lo2, hi2, lo3, hi3)
+            math.comb(m, s)
+            * _binomial_sum(s, max(lo1, s - hi4), min(hi1, s - lo4))
+            * _binomial_sum(m - s, max(lo2, m - s - hi3), min(hi2, m - s - lo3))
             for s in range(s_lo, s_hi + 1)
         )
         return RegionCount(count, math.log2(count), method)

@@ -3,18 +3,19 @@
 For a digit string with standard form bt, every position a in {1, ..., n-1}
 falls into one cell of the 6 x 4 pair table (see canonical.TABLE_LIMITS),
 additionally split by the parity of a.  This module counts those cells for
-single strings, exactly over all 3^n strings of small length, and by seeded
-Monte Carlo for large lengths; it also measures the block-pattern events
-behind the pair counts and the concentration of the number of +1 increments.
+single strings, exactly over every first-1 string of small length (one
+contiguous range of the base-3 enumeration), and by seeded Monte Carlo for
+large lengths; it also measures the block-pattern events behind the pair
+counts and the concentration of the number of +1 increments.
 
 Monte Carlo draws one substream per block of about 2^16 digits of trials and
 keeps per-cell sums and sums of squares, so its memory does not grow with
 the trial count; its cost, trials x (n + 48), is checked before anything is
 drawn.
 
-First-minus-1 strings are negated onto the first-1 case before counting
-(their statistics are identical under negation), so all reports use the
-first-1 table orientation.
+All reports use the first-1 table orientation.  Statistics are identical
+under negation, so Monte Carlo negates first-minus-1 draws before counting,
+and exhaustive mode counts the first-1 strings for either class.
 """
 
 from __future__ import annotations
@@ -293,10 +294,16 @@ def _digit_matrix(lo: int, hi: int, n: int) -> np.ndarray:
 def exhaustive_expectations(
     n: int, sequence_class: SequenceClass = SequenceClass.FIRST_ONE
 ) -> FrequencyReport:
-    """Exact conditional cell-frequency expectations over all 3^n strings.
+    """Exact conditional cell-frequency expectations over one class of length-n strings.
 
-    Every string of the requested class enters with equal weight; the result
-    is the brute-force oracle the Monte Carlo path is checked against.
+    Row i of the base-3 enumeration has digits b_k with i - (3^n - 1)/2 =
+    sum b_k 3^(n-1-k), a balanced-ternary value whose sign is that of the
+    first nonzero digit.  So the (3^n - 1)/2 first-1 strings are exactly the
+    rows (3^n + 1)/2 .. 3^n - 1, and only those are enumerated.  The
+    first-minus-1 strings are their negations (row i maps to 3^n - 1 - i),
+    with the same counts in the first-1 orientation, so sequence_class only
+    sets the conditioning label.  Every string enters with equal weight; the
+    result is the brute-force oracle the Monte Carlo path is checked against.
     """
     if n < 1:
         raise ValueError(f"length {n} must be at least 1")
@@ -304,26 +311,14 @@ def exhaustive_expectations(
         raise TooLargeError(f"length {n} exceeds exhaustive bound {EXHAUSTIVE_MAX_N}")
     if sequence_class is SequenceClass.ALL_ZERO:
         raise ValueError("cannot condition on the all-zero class")
-    target = 1 if sequence_class is SequenceClass.FIRST_ONE else -1
 
     total = 3**n
     chunk = 3 ** min(n, 12)
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-    def process(bounds):
-        lo, hi = bounds
-        mat = _digit_matrix(lo, hi, n)
-        sign = _first_nonzero_sign(mat)
-        work = (mat[sign == target] * target).astype(np.int8)
-        counts = _aggregate_counts(_pair_codes(work, _canonicalize_matrix(work)))
-        return counts, work.shape[0]
-
     counts = np.zeros((6, 4, 2), dtype=np.int64)
-    used = 0
-    for c, k in map(process, ranges):
-        counts += c
-        used += k
-    assert used == (total - 1) // 2
+    for lo in range((total + 1) // 2, total, chunk):
+        work = _digit_matrix(lo, min(lo + chunk, total), n)
+        counts += _aggregate_counts(_pair_codes(work, _canonicalize_matrix(work)))
+    used = (total - 1) // 2
     return FrequencyReport(
         n=n,
         mode="exhaustive",
@@ -364,10 +359,11 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
     per_chunk = block * max(
         1, min(_CHUNK_DIGITS // (block * n), _CHUNK_CELLS // (block * _CELLS))
     )
-    ranges = [(lo, min(lo + per_chunk, trials)) for lo in range(0, trials, per_chunk)]
-
-    def process(bounds):
-        lo, hi = bounds
+    s1 = np.zeros(_CELLS, dtype=np.int64)
+    s2 = np.zeros(_CELLS, dtype=np.int64)
+    used = 0
+    for lo in range(0, trials, per_chunk):
+        hi = min(lo + per_chunk, trials)
         mat = np.empty((hi - lo, n), dtype=np.int8)
         for start in range(lo, hi, block):
             # child b of root.spawn(...), built on its own so that no list grows with trials
@@ -380,16 +376,12 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
             )
         sign = _first_nonzero_sign(mat)
         work = (mat[sign != 0] * sign[sign != 0, None]).astype(np.int8)
-        codes = _pair_codes(work, _canonicalize_matrix(work))
-        return (*_per_row_counts(codes), work.shape[0])
-
-    s1 = np.zeros(_CELLS, dtype=np.int64)
-    s2 = np.zeros(_CELLS, dtype=np.int64)
-    used = 0
-    for c1, c2, k in map(process, ranges):
+        c1, c2 = _per_row_counts(_pair_codes(work, _canonicalize_matrix(work)))
         s1 += c1
         s2 += c2
-        used += k
+        used += work.shape[0]
+        # release this chunk before the next one is allocated, which lowers the peak RSS
+        del mat, sign, work
     if used == 0:
         raise ValueError("all trials drew the all-zero string; increase n or trials")
     if used > 1:

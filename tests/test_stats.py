@@ -157,6 +157,30 @@ class TestExhaustive:
         ]
         assert (devs[1] < devs[0]).all() and (devs[2] < devs[1]).all()
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("cls, sign", [(SequenceClass.FIRST_ONE, 1),
+                                           (SequenceClass.FIRST_MINUS_ONE, -1)],
+                             ids=["first_one", "first_minus_one"])
+    def test_counts_match_naive_oracle(self, n, cls, sign):
+        # pure-Python cells over every string of the class, no library counting code
+        mat = all_digit_matrix(n)
+        rows = mat[_signs(mat) == sign]
+        rep = exhaustive_expectations(n, cls)
+        assert rep.trials == len(rows)
+        np.testing.assert_array_equal(rep.counts, sum(naive_pair_cells(r) for r in rows))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_first_one_strings_are_the_upper_index_range(self, n):
+        # base-3 row i minus (3^n - 1)/2 is a balanced-ternary value with the row's digits
+        mat = all_digit_matrix(n)
+        signs = _signs(mat)
+        mid = (3**n - 1) // 2
+        np.testing.assert_array_equal(
+            stats._digit_matrix(mid + 1, 3**n, n), mat[signs == 1]
+        )
+        assert not mat[mid].any()
+        assert (signs[:mid] == -1).all()
+
     def test_minus_class_matches_by_negation(self):
         a = exhaustive_expectations(8, SequenceClass.FIRST_ONE)
         b = exhaustive_expectations(8, SequenceClass.FIRST_MINUS_ONE)
