@@ -9,6 +9,10 @@ to float rounding, and the uniform vector is stationary.
 after k steps is an integer in [-w_k, w_k], w_0 = 0, w_{k+1} = 2*w_k + 1 (the
 trivial support bound), so while the next window has fewer than p values only
 that window is evolved; it is embedded into the dense vector once, at the switch.
+Windows and dense vectors live in prefixes of two p-length buffers that the
+steps ping-pong between.  A step reads the old masses and writes the new ones
+`_STEP_BLOCK` output pairs at a time through one small block buffer, so each
+block's work stays in cache.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ _SORT_MAX = 1 << 13
 #: this many doubles, so it stays well below `_BLOCK`
 _MAX_BUCKETS = 1 << 13
 _TINY = np.finfo(np.float64).smallest_subnormal
+#: output pairs per block of the exact step: a block spreads 2^15 + 2 old masses and
+#: writes 2^15 new ones through a product temporary, 768 KiB in all with `out`
+_STEP_BLOCK = 1 << 14
 
 
 class ModulusTooLargeError(ValueError):
@@ -75,41 +82,66 @@ def initial_dist(p: int, max_modulus: int = DEFAULT_MAX_MODULUS) -> np.ndarray:
     return _embed(np.ones(1), p)
 
 
+def _step_buffer() -> np.ndarray:
+    """The block buffer that `_apply_step` takes as `scratch`."""
+    return np.empty(4 * _STEP_BLOCK + 2)
+
+
 def _apply_step(
     dist: np.ndarray, params: ProcessParams, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """One step of `dist` written into `out`, which is returned.
+    """One step of `dist` written into `out`, which is returned; `dist` is only read.
 
-    A `dist` shorter than `out` is a window: it holds the integers -w..w and
-    `out` the integers -(2*w + 1)..(2*w + 1).  Otherwise both are dense, and
-    `dist` is overwritten.  The old masses are first laid out in `scratch` as
-    d, with new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod len(out)).
+    new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod len(out)), where d
+    lays the old masses out in the order the step sends them:
+    - a `dist` shorter than `out` is a window: it holds the integers -w..w and
+      `out` the integers -(2*w + 1)..(2*w + 1), so d[2*i + 1] = dist[i] and the
+      even d are 0;
+    - otherwise both are dense, and with h = (p + 1)/2, d[2*j] = dist[j] and
+      d[2*j + 1] = dist[h + j].
+    d is never built whole.  For each block of `_STEP_BLOCK` output pairs
+    (new[2*j], new[2*j + 1]), the d[2*j - 1 .. 2*k] it reads are spread into
+    `scratch` from the two halves of `dist`, and the three products are added
+    straight into that block of `out`; the last output, new[len(out) - 1], is
+    one scalar sum.  `scratch` holds 4 * `_STEP_BLOCK` + 2 values.
     """
-    q, p = params.increments, params.modulus
-    d = scratch[: out.size]
-    if out.size != dist.size:  # the integer i - w lands on 2*(i - w), index 2*i + 1 of out
-        d.fill(0.0)
-        d[1 : 2 * dist.size : 2] = dist
-        t = np.empty(out.size - 1)
-    else:  # new[2j] reads old[j] and new[2j + 1] reads old[h + j], h = (p + 1)/2
-        d[0::2], d[1::2] = dist[: (p + 1) // 2], dist[(p + 1) // 2 :]
-        t = dist[1:]  # every old mass is in d now
-    head, tail = out[:-1], out[1:]
-    np.multiply(d, q.q_zero, out=out)
-    tail += np.multiply(d[:-1], q.q_plus1, out=t)
-    out[0] += q.q_plus1 * d[-1]
-    head += np.multiply(d[1:], q.q_minus1, out=t)
-    out[-1] += q.q_minus1 * d[0]
+    q = params.increments
+    d, t = scratch[: 2 * _STEP_BLOCK + 2], scratch[2 * _STEP_BLOCK + 2 :]
+    window = out.size != dist.size
+    if window:
+        pairs, last = dist.size, (0.0, dist[-1], 0.0)
+    else:  # d[2*j] = low[j] and d[2*j - 1] = high[j]
+        h = (out.size + 1) // 2
+        low, high = dist[:h], dist[h - 1 :]
+        pairs, last = h - 1, (low[-1], high[-1], low[0])
+    for j in range(0, pairs, _STEP_BLOCK):
+        k = min(j + _STEP_BLOCK, pairs)
+        block = d[: 2 * (k - j) + 2]  # d[2*j - 1 .. 2*k]
+        if window:
+            block[1::2] = 0.0
+            block[2::2] = dist[j:k]
+            block[0] = dist[j - 1] if j else 0.0
+        else:
+            block[0::2], block[1::2] = high[j : k + 1], low[j : k + 1]
+        new, tmp = out[2 * j : 2 * k], t[: 2 * (k - j)]
+        np.multiply(block[1:-1], q.q_zero, out=new)
+        new += np.multiply(block[:-2], q.q_plus1, out=tmp)
+        new += np.multiply(block[2:], q.q_minus1, out=tmp)
+    here, before, after = last
+    out[-1] = q.q_zero * here + q.q_plus1 * before + q.q_minus1 * after
     return out
 
 
-def _embed(mass: np.ndarray, p: int) -> np.ndarray:
-    """The dense vector of a window (integers -w..w); a dense `mass` is returned as is."""
+def _embed(mass: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The dense vector of a window (integers -w..w), written into `out` if given.
+
+    A dense `mass` is returned as is.
+    """
     if mass.size == p:
         return mass
     w = mass.size // 2
-    dense = np.zeros(p, dtype=np.float64)
-    dense[: w + 1], dense[p - w :] = mass[w:], mass[:w]
+    dense = np.empty(p) if out is None else out
+    dense[: w + 1], dense[w + 1 : p - w], dense[p - w :] = mass[w:], 0.0, mass[:w]
     return dense
 
 
@@ -120,37 +152,36 @@ def iter_evolve(
 
     A `mass` shorter than p holds the integers -w..w in order (the window
     phase); every other residue has mass 0, which the functionals allow for
-    (pass p to `tvd_uniform`).  Otherwise `mass` is the dense vector.  It is a
-    reused buffer that the next step overwrites: copy it to keep it.
+    (pass p to `tvd_uniform`).  Otherwise `mass` is the dense vector.  Either
+    way it is a view of one of two p-length buffers, which the next step may
+    overwrite: copy it to keep it.  These two buffers and one block buffer are
+    all the walk allocates.
     """
     if n < 0:
         raise ValueError(f"step count {n} is negative")
     p = params.modulus
     _check_modulus(p, max_modulus)
-    mass, scratch = np.ones(1, dtype=np.float64), np.empty(p)
-    k = w = 0
-    yield k, mass
-    while k < n and 2 * (2 * w + 1) + 1 < p:
-        w = 2 * w + 1
-        mass = _apply_step(mass, params, np.empty(2 * w + 1), scratch)
-        k += 1
-        yield k, mass
-    mass, out = _embed(mass, p), np.empty(p)
-    while k < n:
-        mass, out = _apply_step(mass, params, out, scratch), mass
-        k += 1
+    held, free, scratch = np.empty(p), np.empty(p), _step_buffer()
+    mass = held[:1]
+    mass[0] = 1.0
+    yield 0, mass
+    for k in range(1, n + 1):
+        size = 2 * mass.size + 1
+        if mass.size < p <= size:  # the switch: the next window would not fit
+            mass, held, free = _embed(mass, p, free), free, held
+        mass, held, free = _apply_step(mass, params, free[: min(size, p)], scratch), free, held
         yield k, mass
 
 
 def step(dist: np.ndarray, params: ProcessParams) -> np.ndarray:
-    """One exact step of the distribution under the walk."""
-    dist = np.array(dist, dtype=np.float64)  # a copy: the step overwrites it
+    """One exact step of the distribution under the walk; `dist` is left as it is."""
+    dist = np.ascontiguousarray(dist, dtype=np.float64)
     p = params.modulus
     if dist.shape != (p,):
         raise ModulusMismatchError(
             f"distribution has length {dist.shape}, parameters have modulus {p}"
         )
-    return _apply_step(dist, params, np.empty(p), np.empty(p))
+    return _apply_step(dist, params, np.empty(p), _step_buffer())
 
 
 def evolve(

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from cdgproc.distribution import (
     _BLOCK,
     _SORT_MAX,
+    _STEP_BLOCK,
     ModulusMismatchError,
     ModulusTooLargeError,
     entropy_bits,
@@ -34,6 +37,9 @@ from oracles import (
 TINY_MASSES = (5e-324, 7 * 5e-324, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-100)
 #: lengths on both sides of the sort cutoff and of one block
 EDGE_SIZES = (1, 2, 3, _SORT_MAX - 1, _SORT_MAX, _SORT_MAX + 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+#: moduli whose (p - 1)/2 output pairs of a step fill its blocks exactly, or miss by one
+STEP_EDGE_MODULI = (3, 2 * _STEP_BLOCK - 1, 2 * _STEP_BLOCK + 1, 2 * _STEP_BLOCK + 3,
+                    4 * _STEP_BLOCK + 1, 6 * _STEP_BLOCK - 1)
 
 
 class TestInitialDist:
@@ -87,8 +93,9 @@ class TestStep:
     @pytest.mark.parametrize("multiplier", [2])
     def test_matches_gather_and_roll_reference(self, multiplier):
         # the arithmetic of the step is unchanged, so the results are equal, not close
-        for p in (5, 7, 31, 101, 1021):
-            params = ProcessParams(p, IncrementDistribution(0.2, 0.5, 0.3))
+        for p, law in itertools.product((5, 7, 31, 101, 1021, *STEP_EDGE_MODULI),
+                                        [(0.2, 0.5, 0.3), (1 / 3, 1 / 3, 1 / 3)]):
+            params = ProcessParams(p, IncrementDistribution(*law))
             q = params.increments
             dist = np.random.default_rng(p).random(p)
             d = dist[(np.arange(p) * pow(multiplier, -1, p)) % p]
@@ -152,10 +159,12 @@ class TestEvolve:
 
     @pytest.mark.parametrize("multiplier", [2])
     def test_window_phase_equals_dense_steps(self, multiplier):
-        for p in (7, 17, 31, 65, 1021):
+        # the last windows of 4B + 1 and 4B - 1 (B the step's block) span several
+        # blocks and hold p - 2 and about p/2 integers
+        for p in (7, 17, 31, 65, 1021, 4 * _STEP_BLOCK + 1, 4 * _STEP_BLOCK - 1):
             params = ProcessParams(p, IncrementDistribution(0.2, 0.5, 0.3))
             dist = initial_dist(p)
-            for n in range(1, 14):
+            for n in range(1, 18):
                 dist = step(dist, params)
                 np.testing.assert_array_equal(evolve(params, n), dist)
                 # every integer in the window -(2^n - 1)..2^n - 1 is reachable
@@ -204,6 +213,18 @@ class TestIterEvolve:
     def test_memory_guard(self):
         with pytest.raises(ModulusTooLargeError):
             next(iter_evolve(ProcessParams(101), 3, max_modulus=99))
+
+    @pytest.mark.parametrize("p", [1048577, 1048573])
+    def test_allocates_two_vectors(self, p):
+        # the two ping-pong buffers and one block buffer; no p-sized temporary
+        tracemalloc.start()
+        try:
+            for _ in iter_evolve(ProcessParams(p), 24):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * p + 2**20
 
 
 class TestFunctionals:
@@ -440,19 +461,23 @@ def test_pinned_integer_columns(key):
 
 
 class TestFourierOracle:
-    #: the largest prime below 2^20: windows up to step 18, dense vectors from step 19
-    P = 1048573
+    #: p -> the steps checked, the last two of them dense:
+    #: - 1048573, the largest prime below 2^20: windows up to step 18, dense from step 19;
+    #: - 1048583 = 2^20 + 7, prime: the last window, at step 19, holds p - 8 integers,
+    #:   so the switch embeds it into a nearly full buffer
+    CASES = {1048573: (6, 18, 19, 24), 1048583: (6, 19, 20, 24)}
 
     @pytest.mark.parametrize("q", [(1 / 3, 1 / 3, 1 / 3), (0.2, 0.5, 0.3)])
     def test_iter_evolve_matches_the_product_formula(self, q):
-        params = ProcessParams(self.P, IncrementDistribution(*q))
-        xis = [int(x) for x in np.random.default_rng(1987).integers(1, self.P, size=3)]
-        checked = []
-        for k, mass in iter_evolve(params, 24):
-            if k not in (6, 18, 19, 24):
-                continue
-            checked.append((k, mass.size < self.P))
-            for xi in xis:
-                got = fourier_coefficient(mass, self.P, xi)
-                assert abs(got - fourier_product(q, k, self.P, xi)) <= 1e-12, (k, xi)
-        assert checked == [(6, True), (18, True), (19, False), (24, False)]
+        for p, steps in self.CASES.items():
+            params = ProcessParams(p, IncrementDistribution(*q))
+            xis = [int(x) for x in np.random.default_rng(1987).integers(1, p, size=3)]
+            checked = []
+            for k, mass in iter_evolve(params, 24):
+                if k not in steps:
+                    continue
+                checked.append((k, mass.size < p))
+                for xi in xis:
+                    got = fourier_coefficient(mass, p, xi)
+                    assert abs(got - fourier_product(q, k, p, xi)) <= 1e-12, (p, k, xi)
+            assert checked == [(k, window) for k, window in zip(steps, (True, True, False, False))]
