@@ -45,7 +45,7 @@ MAX_TRACE_STEPS = 100_000
 SIMULATE_MAX_MODULUS = 1 << 61
 
 # Cost limits, checked before any work.  At the slowest rates measured on a 2-core
-# Xeon VM (31, 15 and 24 ns a unit) the largest accepted input runs about 4 minutes.
+# Xeon VM (31, 15 and 17 ns a unit) the largest accepted input runs about 4 minutes.
 #: evolve refuses steps x p above this
 MAX_EVOLVE_COST = 1 << 33
 #: scan refuses the sum of _scan_cost over its moduli above this
@@ -334,6 +334,13 @@ def cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
+def _histogram_rows(row: str, residues: list, counts: list) -> str:
+    """One row per histogram entry, filled by a single % format over (residue, count) pairs."""
+    pairs = [None] * (2 * len(residues))
+    pairs[::2], pairs[1::2] = residues, counts
+    return row * len(residues) % tuple(pairs)
+
+
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trial count {args.trials} must be at least 1")
@@ -349,12 +356,22 @@ def cmd_simulate(args) -> int:
     x = np.zeros(args.trials, dtype=np.int64)
     support = np.array([-1, 0, 1], dtype=np.int64)
     probs = list(dist.as_tuple())
+    # x advances in place without reduction, |x| <= bound = 2^k - 1 after k steps,
+    # and is reduced mod p only before a step could reach 2^62.  p <= 2^61 keeps the
+    # step after a reduction below that, and the residues are those of (2x + b) % p.
+    bound = 0
     for _ in range(args.steps):
         if dist.is_uniform_thirds:
             b = rng.integers(-1, 2, size=args.trials)
         else:
             b = rng.choice(support, size=args.trials, p=probs)
-        x = (2 * x + b) % p
+        if 2 * bound + 1 >= 1 << 62:
+            np.remainder(x, p, out=x)
+            bound = p - 1
+        x <<= 1
+        x += b
+        bound = 2 * bound + 1
+    np.remainder(x, p, out=x)
     residues, counts = np.unique(x, return_counts=True)
     # plug-in estimate: visited residues contribute |c/T - 1/p|, the rest 1/p each
     tvd = dist_mod.tvd_uniform(counts / args.trials, p)
@@ -370,10 +387,9 @@ def cmd_simulate(args) -> int:
             f"# p={p} steps={args.steps} trials={args.trials} seed={args.seed}",
             f"# tvd_estimate={_fmt(float(tvd))}",
             f"# {bias_note}",
-            "residue,count",
+            "residue,count\n",
         ]
-        lines += map("{},{}".format, residues, counts)
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines) + _histogram_rows("%d,%d\n", residues, counts), args.out)
     else:
         head = json.dumps(
             {
@@ -391,7 +407,7 @@ def cmd_simulate(args) -> int:
             indent=2,
             allow_nan=False,
         )
-        rows = ",\n".join(map('    "{}": {}'.format, residues, counts))
+        rows = _histogram_rows('    "%d": %d,\n', residues, counts)[:-2]
         # head ends with the empty histogram '{}' and the closing '\n}'
         _emit(f"{head[:-4]}{{\n{rows}\n  }}\n}}\n", args.out)
     return 0

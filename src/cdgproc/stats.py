@@ -282,13 +282,26 @@ class FrequencyReport:
         }
 
 
+def _all_strings(k: int) -> np.ndarray:
+    """All 3^k length-k strings in base-3 enumeration order, as int8 rows."""
+    pows = 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return (np.arange(3**k, dtype=np.int64)[:, None] // pows % 3 - 1).astype(np.int8)
+
+
 def _digit_matrix(lo: int, hi: int, n: int) -> np.ndarray:
-    """Rows lo..hi-1 of the base-3 enumeration of all length-n strings."""
-    pows = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(lo, hi, dtype=np.int64)[:, None] // pows
-    digits %= 3
-    digits -= 1
-    return digits.astype(np.int8)
+    """Rows lo..hi-1 of the base-3 enumeration of all length-n strings.
+
+    Row i is the high digits of i // 3^h followed by the low digits of i % 3^h,
+    with h = n // 2.  The rows are filled block by block of 3^h from two small
+    tables, by broadcasting, for the whole blocks lo..hi-1 touches.
+    """
+    h = n // 2
+    block = 3**h
+    first, last = lo // block, -(-hi // block)
+    out = np.empty((last - first, block, n), dtype=np.int8)
+    out[:, :, : n - h] = _all_strings(n - h)[first:last, None]
+    out[:, :, n - h :] = _all_strings(h)
+    return out.reshape(-1, n)[lo - first * block : hi - first * block]
 
 
 def exhaustive_expectations(

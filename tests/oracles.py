@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -150,6 +151,26 @@ def per_trial_substream_rows(n: int, trials: int, seed) -> np.ndarray:
     return np.stack(
         [np.random.default_rng(c).integers(-1, 2, size=n, dtype=np.int8) for c in children]
     )
+
+
+def simulate_endpoints(p: int, steps: int, trials: int, seed, q=None) -> dict[int, int]:
+    """Endpoint histogram of `cdg simulate`, walked with Python integers, residues ascending.
+
+    The draws replay the CLI's generator calls: per step one
+    rng.integers(-1, 2, size=trials) when q is None (the uniform law), else one
+    rng.choice([-1, 0, 1], size=trials, p=q).  Every trial is reduced,
+    x = (2x + b) % p, after every step.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    support = np.array([-1, 0, 1], dtype=np.int64)
+    x = [0] * trials
+    for _ in range(steps):
+        if q is None:
+            b = rng.integers(-1, 2, size=trials)
+        else:
+            b = rng.choice(support, size=trials, p=list(q))
+        x = [(2 * xi + bi) % p for xi, bi in zip(x, b.tolist())]
+    return dict(sorted(Counter(x).items()))
 
 
 def per_trial_moments(cells: np.ndarray, n: int):

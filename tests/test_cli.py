@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import cdgproc
 from cdgproc import bounds, cli, distribution, stats
 from cdgproc.cli import MAX_TRACE_STEPS, _emit_json, build_parser, is_prime, main
+from oracles import simulate_endpoints
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +472,24 @@ class TestSimulate:
         assert rows[rows.index("residue,count") + 1:] == [
             f"{r},{c}" for r, c in payload["histogram"].items()]
         assert csv_out.endswith("\n")
+
+    @pytest.mark.parametrize("dist, q", [("1/3,1/3,1/3", None),
+                                         ("1/6,1/2,1/3", (1 / 6, 1 / 2, 1 / 3))],
+                             ids=["uniform", "sixth_half_third"])
+    @pytest.mark.parametrize("steps", [0, 1, 61, 62, 63, 130])
+    @pytest.mark.parametrize("p", [3, 1000003, 2**61 - 1])
+    def test_histogram_matches_python_integer_oracle(self, capsys, p, steps, dist, q):
+        # the walk reduces mod p only before int64 could overflow; the oracle reduces
+        # Python integers on every step, and 2^61 - 1 is the largest accepted prime
+        args = ("simulate", f"--p={p}", f"--steps={steps}", "--trials=300", "--seed=23",
+                f"--dist={dist}")
+        expected = simulate_endpoints(p, steps, 300, 23, q)
+        _, out, _ = run_cli(capsys, *args)
+        histogram = json.loads(out)["histogram"]
+        assert [(int(r), c) for r, c in histogram.items()] == list(expected.items())
+        _, csv_out, _ = run_cli(capsys, *args, "--format=csv")
+        rows = csv_out.splitlines()
+        assert rows[rows.index("residue,count") + 1:] == [f"{r},{c}" for r, c in expected.items()]
 
 
 class TestCostLimits:

@@ -181,6 +181,36 @@ class TestExhaustive:
         assert not mat[mid].any()
         assert (signs[:mid] == -1).all()
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_digit_matrix_on_unaligned_ranges(self, n):
+        # ranges that start and end inside a block of 3^(n // 2) rows, the table split
+        mat = all_digit_matrix(n)
+        for lo in {0, 1, 3 ** (n // 2) - 1, (3**n + 1) // 2}:
+            for hi in {lo + 1, 3**n}:
+                rows = stats._digit_matrix(lo, hi, n)
+                assert rows.dtype == np.int8
+                np.testing.assert_array_equal(rows, mat[lo:hi])
+
+    def test_digit_matrix_chunk_ends_at_n14(self, monkeypatch):
+        # first and last row of every chunk exhaustive_expectations(14) enumerates,
+        # against base-3 digits of the row index taken with Python integers
+        ends = []
+        digit_matrix = stats._digit_matrix
+
+        def spy(lo, hi, n):
+            rows = digit_matrix(lo, hi, n)
+            ends.append((lo, hi, rows[0].tolist(), rows[-1].tolist()))
+            return rows
+
+        monkeypatch.setattr(stats, "_digit_matrix", spy)
+        exhaustive_expectations(14)
+        assert len(ends) == 5
+        assert ends[0][0] == (3**14 + 1) // 2 and ends[-1][1] == 3**14
+        assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
+        for lo, hi, first, last in ends:
+            assert first == [lo // 3 ** (13 - k) % 3 - 1 for k in range(14)]
+            assert last == [(hi - 1) // 3 ** (13 - k) % 3 - 1 for k in range(14)]
+
     def test_minus_class_matches_by_negation(self):
         a = exhaustive_expectations(8, SequenceClass.FIRST_ONE)
         b = exhaustive_expectations(8, SequenceClass.FIRST_MINUS_ONE)
