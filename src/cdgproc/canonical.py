@@ -27,8 +27,6 @@ __all__ = [
     "BlockDecomposition",
     "CanonicalForm",
     "COL_LABELS",
-    "N_COLS",
-    "N_ROWS",
     "ROW_LABELS",
     "SequenceClass",
     "TABLE_LIMITS",
@@ -52,11 +50,16 @@ class SequenceClass(enum.Enum):
     ALL_ZERO = "all_zero"
 
 
+#: class of a string by the sign of its first nonzero digit (0: none)
+_SIGN_CLASS = {
+    1: SequenceClass.FIRST_ONE,
+    -1: SequenceClass.FIRST_MINUS_ONE,
+    0: SequenceClass.ALL_ZERO,
+}
+
+
 # Pair-table geometry.  Rows partition the nine raw pairs (b_{a-1}, b_a);
 # columns are the four standard-form pairs in the order (0,0), (0,1), (1,1), (1,0).
-N_ROWS = 6
-N_COLS = 4
-
 ROW_LABELS = (
     "raw(1,1)",
     "raw(not1,not1)",
@@ -129,13 +132,8 @@ class BlockDecomposition:
 
 def classify(digits) -> SequenceClass:
     """Class of a digit string per its first nonzero digit."""
-    arr = as_digit_array(digits)
-    nz = np.flatnonzero(arr)
-    if nz.size == 0:
-        return SequenceClass.ALL_ZERO
-    if arr[nz[0]] == 1:
-        return SequenceClass.FIRST_ONE
-    return SequenceClass.FIRST_MINUS_ONE
+    sign = _first_nonzero_sign(as_digit_array(digits)[None, :])[0]
+    return _SIGN_CLASS[int(sign)]
 
 
 def _first_nonzero_sign(mat: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ counts and the concentration of the number of +1 increments.
 Monte Carlo draws one substream per block of about 2^16 digits of trials and
 keeps per-cell sums and sums of squares, so its memory does not grow with
 the trial count; its cost, trials x (n + 48), is checked before anything is
-drawn.
+drawn, and chunks are whole blocks of at most 2^20 such units (or one block).
 
 All reports use the first-1 table orientation.  Statistics are identical
 under negation, so Monte Carlo negates first-minus-1 draws before counting,
@@ -34,6 +34,7 @@ from .canonical import (
     _COL_LUT,
     _first_nonzero_sign,
     _ROW_LUT,
+    _SIGN_CLASS,
 )
 from .process import IncrementDistribution, as_digit_array
 
@@ -70,10 +71,8 @@ MAX_MC_COST = 1 << 32
 MAX_MC_LENGTH = 1 << 24
 #: a Monte Carlo substream covers about this many digits (whole rows, at least one)
 _BLOCK_DIGITS = 1 << 16
-#: a Monte Carlo chunk is whole blocks of at most this many digits (or one block) ...
-_CHUNK_DIGITS = 1 << 24
-#: ... and at most this many per-row cells, which bounds its per-row bookkeeping
-_CHUNK_CELLS = 1 << 20
+#: a Monte Carlo chunk is whole blocks of at most this many MAX_MC_COST units (or one block)
+_CHUNK_UNITS = 1 << 20
 
 # cell code ((row * 4) + col) * 2 at [(b_prev + 1) * 12 + (b_cur + 1) * 4 + bt_prev * 2 + bt_cur]
 _CODE_LUT = ((_ROW_LUT[:, :, None, None] * 4 + _COL_LUT) * 2).astype(np.uint8).ravel()
@@ -112,25 +111,23 @@ def _aggregate_counts(codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=_CELLS).reshape(6, 4, 2)
 
 
+def _col11_split(cells: np.ndarray) -> tuple:
+    """(n1, n2, n3, n4) of a (6, 4, 2) cell array, as PairHistogram defines them."""
+    col = cells[:, 2].sum(axis=1)
+    return col[0], col[4] + col[5], col[2] + col[3], col[1]
+
+
 def _per_row_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell sums and sums of squares, over the rows, of each row's cell counts.
 
-    Rows are tallied in sub-blocks of about 2^20 codes plus per-row cells, so
-    no rows x 48 array is built.  Both results have shape (48,).
+    Row r's codes are offset by 48 r and tallied by one bincount into a
+    rows x 48 array; the Monte Carlo chunk budget bounds its size and that of
+    the int64 codes.  Both results have shape (48,).
     """
-    rows, width = codes.shape
-    s1 = np.zeros(_CELLS, dtype=np.int64)
-    s2 = np.zeros(_CELLS, dtype=np.int64)
-    block = max(1, (1 << 20) // (width + _CELLS))
-    for lo in range(0, rows, block):
-        hi = min(lo + block, rows)
-        chunk = codes[lo:hi].astype(np.int64)
-        chunk += np.arange(hi - lo, dtype=np.int64)[:, None] * _CELLS
-        counts = np.bincount(chunk.ravel(), minlength=(hi - lo) * _CELLS)
-        counts = counts.reshape(hi - lo, _CELLS)
-        s1 += counts.sum(axis=0)
-        s2 += np.einsum("ij,ij->j", counts, counts)
-    return s1, s2
+    rows = codes.shape[0]
+    offset = codes + np.arange(0, rows * _CELLS, _CELLS, dtype=np.int64)[:, None]
+    counts = np.bincount(offset.ravel(), minlength=rows * _CELLS).reshape(rows, _CELLS)
+    return counts.sum(axis=0), np.einsum("ij,ij->j", counts, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,19 +154,19 @@ class PairHistogram:
 
     @property
     def n1(self) -> int:
-        return int(self.cells[0, 2].sum())
+        return int(_col11_split(self.cells)[0])
 
     @property
     def n2(self) -> int:
-        return int(self.cells[4, 2].sum() + self.cells[5, 2].sum())
+        return int(_col11_split(self.cells)[1])
 
     @property
     def n3(self) -> int:
-        return int(self.cells[2, 2].sum() + self.cells[3, 2].sum())
+        return int(_col11_split(self.cells)[2])
 
     @property
     def n4(self) -> int:
-        return int(self.cells[1, 2].sum())
+        return int(_col11_split(self.cells)[3])
 
 
 def count_pairs(digits) -> PairHistogram:
@@ -181,8 +178,7 @@ def count_pairs(digits) -> PairHistogram:
     work = (arr * sign).astype(np.int8)[None, :]
     canon = _canonicalize_matrix(work)
     cells = _aggregate_counts(_pair_codes(work, canon))
-    cls = SequenceClass.FIRST_ONE if sign == 1 else SequenceClass.FIRST_MINUS_ONE
-    return PairHistogram(n=arr.size, sequence_class=cls, cells=cells)
+    return PairHistogram(n=arr.size, sequence_class=_SIGN_CLASS[sign], cells=cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,23 +210,23 @@ class FrequencyReport:
 
     @property
     def n1_freq(self) -> float:
-        return float(self.freq_mean[0, 2].sum())
+        return float(_col11_split(self.freq_mean)[0])
 
     @property
     def n2_freq(self) -> float:
-        return float(self.freq_mean[4, 2].sum() + self.freq_mean[5, 2].sum())
+        return float(_col11_split(self.freq_mean)[1])
 
     @property
     def n3_freq(self) -> float:
-        return float(self.freq_mean[2, 2].sum() + self.freq_mean[3, 2].sum())
+        return float(_col11_split(self.freq_mean)[2])
 
     @property
     def n4_freq(self) -> float:
-        return float(self.freq_mean[1, 2].sum())
+        return float(_col11_split(self.freq_mean)[3])
 
     @property
     def n2_count(self) -> int:
-        return int(self.counts[4, 2].sum() + self.counts[5, 2].sum())
+        return int(_col11_split(self.counts)[1])
 
     def col11_parity_freq(self) -> tuple[float, float]:
         """(even-a, odd-a) frequency of the canon(1,1) column."""
@@ -350,10 +346,11 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
     standard-form pair analysis.  Trials come in blocks of
     B = max(1, 2^16 // n) rows; block b is one draw from child b of
     SeedSequence(seed).spawn(ceil(trials / B)), so the result depends only on
-    (seed, n, trial index), never on chunking.  Chunks of whole blocks are
+    (seed, n, trial index), never on chunking.  A chunk is the most whole
+    blocks (at least one) whose rows x (n + 48) fits in _CHUNK_UNITS, and is
     tallied into per-cell sums and sums of squares, so the memory does not
     grow with trials.  All-zero draws are discarded; first-minus-1 draws are
-    negated and pooled with first-1 draws.
+    negated in place and pooled with first-1 draws.
     """
     if n < 2:
         raise ValueError(f"length {n} must be at least 2")
@@ -369,9 +366,7 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
 
     root = np.random.SeedSequence(seed)
     block = max(1, _BLOCK_DIGITS // n)
-    per_chunk = block * max(
-        1, min(_CHUNK_DIGITS // (block * n), _CHUNK_CELLS // (block * _CELLS))
-    )
+    per_chunk = block * max(1, _CHUNK_UNITS // (block * (n + _CELLS)))
     s1 = np.zeros(_CELLS, dtype=np.int64)
     s2 = np.zeros(_CELLS, dtype=np.int64)
     used = 0
@@ -388,13 +383,15 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
                 -1, 2, size=(rows, n), dtype=np.int8
             )
         sign = _first_nonzero_sign(mat)
-        work = (mat[sign != 0] * sign[sign != 0, None]).astype(np.int8)
-        c1, c2 = _per_row_counts(_pair_codes(work, _canonicalize_matrix(work)))
+        mat *= sign[:, None]
+        if not sign.all():
+            mat = mat[sign != 0]
+        c1, c2 = _per_row_counts(_pair_codes(mat, _canonicalize_matrix(mat)))
         s1 += c1
         s2 += c2
-        used += work.shape[0]
+        used += mat.shape[0]
         # release this chunk before the next one is allocated, which lowers the peak RSS
-        del mat, sign, work
+        del mat, sign
     if used == 0:
         raise ValueError("all trials drew the all-zero string; increase n or trials")
     if used > 1:

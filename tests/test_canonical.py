@@ -14,7 +14,7 @@ from cdgproc.canonical import (
     pair_cell,
 )
 from cdgproc.process import value_of
-from oracles import all_digit_matrix, bigint_canonical
+from oracles import all_digit_matrix, bigint_canonical, horner_value
 
 EXAMPLE = [0, 0, 1, -1, 0, 1, 0, 1, -1, 1, 1]
 
@@ -29,6 +29,16 @@ class TestClassify:
 
     def test_first_minus_one(self):
         assert classify([0, -1, 1]) is SequenceClass.FIRST_MINUS_ONE
+
+    def test_matches_sign_of_value_exhaustively(self):
+        by_sign = {
+            1: SequenceClass.FIRST_ONE,
+            -1: SequenceClass.FIRST_MINUS_ONE,
+            0: SequenceClass.ALL_ZERO,
+        }
+        for row in all_digit_matrix(8):
+            value = horner_value(row)
+            assert classify(row) is by_sign[(value > 0) - (value < 0)]
 
 
 class TestCanonicalize:

@@ -267,7 +267,7 @@ class TestMonteCarlo:
         np.testing.assert_allclose(rep.freq_mean, mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(rep.freq_stderr, stderr, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("n, trials, seed", [(20, 5000, 21), (300, 400, 22)])
+    @pytest.mark.parametrize("n, trials, seed", [(2, 5000, 23), (20, 5000, 21), (300, 400, 22)])
     def test_counts_match_bigint_tally(self, n, trials, seed):
         # pure-Python cells over the same draws, with no library counting code
         rows = block_substream_rows(n, trials, seed, block=max(1, 2**16 // n))
@@ -293,12 +293,38 @@ class TestMonteCarlo:
             return original(codes)
 
         monkeypatch.setattr(stats, "_per_row_counts", recording)
-        monkeypatch.setattr(stats, "_CHUNK_CELLS", 1)
+        monkeypatch.setattr(stats, "_CHUNK_UNITS", 1)
         small = monte_carlo_frequencies(20, 20_000, seed=8)
         assert len(chunks) >= 3
         np.testing.assert_array_equal(small.counts, base.counts)
         np.testing.assert_array_equal(small.freq_mean, base.freq_mean)
         np.testing.assert_array_equal(small.freq_stderr, base.freq_stderr)
+
+    @pytest.mark.parametrize(
+        "n, trials", [(2, 3 * 2**15 + 5), (20, 30_000), (2**16, 20), (100000, 25)]
+    )
+    def test_chunks_are_whole_blocks_within_the_budget(self, monkeypatch, n, trials):
+        sign, row_counts = stats._first_nonzero_sign, stats._per_row_counts
+        drawn, tallied = [], []
+
+        def drawn_rows(mat):  # called once per chunk, before all-zero rows are dropped
+            drawn.append(mat.shape[0])
+            return sign(mat)
+
+        def tallied_rows(codes):
+            tallied.append(codes.shape[0])
+            return row_counts(codes)
+
+        monkeypatch.setattr(stats, "_first_nonzero_sign", drawn_rows)
+        monkeypatch.setattr(stats, "_per_row_counts", tallied_rows)
+        rep = monte_carlo_frequencies(n, trials, seed=13)
+        block = max(1, 2**16 // n)
+        assert sum(drawn) == trials and sum(tallied) == rep.trials
+        assert len(tallied) == len(drawn) >= 2
+        assert all(rows % block == 0 for rows in drawn[:-1])
+        assert all(t <= d for t, d in zip(tallied, drawn))
+        budget = max(stats._CHUNK_UNITS, block * (n + 48))
+        assert all(rows * (n + 48) <= budget for rows in drawn)
 
     @pytest.fixture
     def no_drawing(self, monkeypatch):
