@@ -144,7 +144,7 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"step count {args.steps} exceeds the trace limit {MAX_TRACE_STEPS}")
     params = ProcessParams(args.p, _parse_dist(args.dist))
     _check_cost("evolve", args.steps * params.modulus, MAX_EVOLVE_COST, "reduce --steps or --p")
-    _, rows = dist_mod.evolve_with_trace(params, args.steps, args.delta, args.max_p_override)
+    rows = dist_mod.evolve_with_trace(params, args.steps, args.delta)
     trace = [
         dict(zip(_EVOLVE_COLUMNS, (r.step, r.tvd, r.entropy_bits, r.support, r.typical)))
         for r in rows
@@ -178,26 +178,23 @@ def _scan_cost(p: int, steps: int | None) -> int:
 
 
 def _scan_moduli(args) -> list[int]:
-    """The moduli to scan; the guard and the cost are checked before any is tested."""
+    """The moduli to scan; the cost, then the guard, are checked before any is tested.
+
+    A range is refused when its largest odd candidate exceeds the guard.
+    """
     if args.primes:
-        moduli = [int(p) for p in args.primes.split(",")]
-        for p in moduli:
-            if p < 3 or p % 2 == 0:
-                raise ValueError(f"scan modulus {p} must be an odd integer >= 3")
-            if p > args.max_p_override:
-                raise dist_mod.ModulusTooLargeError(
-                    f"modulus {p} exceeds guard {args.max_p_override}; "
-                    "raise max_modulus to override"
-                )
-        cost = sum(_scan_cost(p, args.steps) for p in moduli)
+        moduli = [ProcessParams(int(p)).modulus for p in args.primes.split(",")]
+        cost, largest = sum(_scan_cost(p, args.steps) for p in moduli), max(moduli)
     elif args.p_min is None or args.p_max is None:
         raise ValueError("scan needs either --primes or both --p-min and --p-max")
     else:
         moduli = range(max(3, args.p_min) | 1, args.p_max + 1, 2)
-        # every odd candidate is charged as p_max, the largest
-        count = max(0, (args.p_max - moduli.start) // 2 + 1)
-        cost = count and count * _scan_cost(args.p_max, args.steps)
+        if not moduli:
+            return []
+        # every odd candidate is charged as p_max
+        cost, largest = len(moduli) * _scan_cost(args.p_max, args.steps), moduli[-1]
     _check_cost("scan", cost, MAX_SCAN_COST, "reduce the moduli or --steps")
+    dist_mod.check_modulus(largest)
     if not args.primes:
         return [p for p in moduli if args.allow_composite or is_prime(p)]
     kept = []
@@ -211,11 +208,11 @@ def _scan_moduli(args) -> list[int]:
     return kept
 
 
-def _scan_row(p: int, dist: IncrementDistribution, max_p: int, cap: int | None) -> dict:
+def _scan_row(p: int, dist: IncrementDistribution, cap: int | None) -> dict:
     params = ProcessParams(p, dist)
     limit = _scan_cap(p, cap)
     crossings: dict[float, int | None] = dict.fromkeys(SCAN_THRESHOLDS)
-    for n, mass in dist_mod.iter_evolve(params, limit, max_p):
+    for n, mass in dist_mod.iter_evolve(params, limit):
         if n == 0:  # the start is never a crossing
             continue
         tvd = dist_mod.tvd_uniform(mass, p)
@@ -232,7 +229,7 @@ def cmd_scan(args) -> int:
     if args.steps is not None and args.steps < 0:
         raise ValueError(f"step cap {args.steps} is negative")
     dist = _parse_dist(args.dist)
-    rows = [_scan_row(p, dist, args.max_p_override, args.steps) for p in _scan_moduli(args)]
+    rows = [_scan_row(p, dist, args.steps) for p in _scan_moduli(args)]
     if args.format == "csv":
         _emit(_csv(_SCAN_COLUMNS, rows), args.out)
     else:
@@ -439,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--dist", default="1/3,1/3,1/3", help="q-1,q0,q1")
     sp.add_argument("--delta", type=float, default=0.01, help="typical-set tail mass")
-    sp.add_argument("--max-p-override", type=int, default=dist_mod.DEFAULT_MAX_MODULUS)
     add_common(sp, "csv")
     sp.set_defaults(func=cmd_evolve)
 
@@ -450,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=None, help="cap on evolved steps")
     sp.add_argument("--dist", default="1/3,1/3,1/3")
     sp.add_argument("--allow-composite", action="store_true")
-    sp.add_argument("--max-p-override", type=int, default=dist_mod.DEFAULT_MAX_MODULUS)
     add_common(sp, "csv")
     sp.set_defaults(func=cmd_scan)
 

@@ -26,10 +26,11 @@ import numpy as np
 from .process import ProcessParams
 
 __all__ = [
-    "DEFAULT_MAX_MODULUS",
+    "MAX_MODULUS",
     "ModulusMismatchError",
     "ModulusTooLargeError",
     "TraceRow",
+    "check_modulus",
     "entropy_bits",
     "evolve",
     "evolve_with_trace",
@@ -41,8 +42,8 @@ __all__ = [
     "typical_set_size",
 ]
 
-#: dense-vector memory guard; override explicitly for larger moduli
-DEFAULT_MAX_MODULUS = 1 << 26
+#: dense-vector memory guard: a walk's two p-vectors are 1 GiB here; `cdg simulate` goes beyond
+MAX_MODULUS = 1 << 26
 
 #: values per block of the trace functionals: 2^15 float64 values (256 KiB) stay in cache
 _BLOCK = 1 << 15
@@ -67,18 +68,17 @@ class ModulusMismatchError(ValueError):
     """Distribution length and parameter modulus disagree."""
 
 
-def _check_modulus(p: int, max_modulus: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"modulus {p} must be an odd integer >= 3")
-    if p > max_modulus:
+def check_modulus(p: int) -> None:
+    """Refuse a modulus whose dense vectors would exceed the guard `MAX_MODULUS`."""
+    if p > MAX_MODULUS:
         raise ModulusTooLargeError(
-            f"modulus {p} exceeds guard {max_modulus}; raise max_modulus to override"
+            f"modulus {p} exceeds guard {MAX_MODULUS}; use `cdg simulate` above it"
         )
 
 
-def initial_dist(p: int, max_modulus: int = DEFAULT_MAX_MODULUS) -> np.ndarray:
+def initial_dist(p: int) -> np.ndarray:
     """Point mass at residue 0 (the walk starts at x = 0)."""
-    _check_modulus(p, max_modulus)
+    check_modulus(ProcessParams(p).modulus)
     return _embed(np.ones(1), p)
 
 
@@ -145,9 +145,7 @@ def _embed(mass: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarra
     return dense
 
 
-def iter_evolve(
-    params: ProcessParams, n: int, max_modulus: int = DEFAULT_MAX_MODULUS
-) -> Iterator[tuple[int, np.ndarray]]:
+def iter_evolve(params: ProcessParams, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k, mass) for k = 0..n, starting from the point mass at 0.
 
     A `mass` shorter than p holds the integers -w..w in order (the window
@@ -160,7 +158,7 @@ def iter_evolve(
     if n < 0:
         raise ValueError(f"step count {n} is negative")
     p = params.modulus
-    _check_modulus(p, max_modulus)
+    check_modulus(p)
     held, free, scratch = np.empty(p), np.empty(p), _step_buffer()
     mass = held[:1]
     mass[0] = 1.0
@@ -184,11 +182,9 @@ def step(dist: np.ndarray, params: ProcessParams) -> np.ndarray:
     return _apply_step(dist, params, np.empty(p), _step_buffer())
 
 
-def evolve(
-    params: ProcessParams, n: int, max_modulus: int = DEFAULT_MAX_MODULUS
-) -> np.ndarray:
+def evolve(params: ProcessParams, n: int) -> np.ndarray:
     """Distribution after n steps from the point mass at 0."""
-    for _, mass in iter_evolve(params, n, max_modulus):
+    for _, mass in iter_evolve(params, n):
         pass
     return _embed(mass, params.modulus)
 
@@ -204,22 +200,18 @@ class TraceRow:
     typical: int
 
 
-def evolve_with_trace(
-    params: ProcessParams,
-    n: int,
-    delta: float = 0.01,
-    max_modulus: int = DEFAULT_MAX_MODULUS,
-) -> tuple[np.ndarray, list[TraceRow]]:
-    """Evolve n steps, recording (tvd, entropy, support, typical-set size) per step.
+def evolve_with_trace(params: ProcessParams, n: int, delta: float = 0.01) -> list[TraceRow]:
+    """The rows (tvd, entropy, support, typical-set size) of steps 0..n of a walk.
 
-    The trace includes step 0; the typical-set column uses mass 1 - delta.
+    The typical-set column uses mass 1 - delta.  Only the rows are returned:
+    `evolve` gives the final distribution.
     """
     p = params.modulus
     rows = []
-    for k, mass in iter_evolve(params, n, max_modulus):
+    for k, mass in iter_evolve(params, n):
         rows.append(TraceRow(k, tvd_uniform(mass, p), entropy_bits(mass), support_size(mass),
                              typical_set_size(mass, delta)))
-    return _embed(mass, p), rows
+    return rows
 
 
 def _fold(dist: np.ndarray, term, combine=operator.add, dtype=np.float64):

@@ -209,22 +209,6 @@ class FrequencyReport:
         return self.freq_mean.sum(axis=(0, 2))
 
     @property
-    def n1_freq(self) -> float:
-        return float(_col11_split(self.freq_mean)[0])
-
-    @property
-    def n2_freq(self) -> float:
-        return float(_col11_split(self.freq_mean)[1])
-
-    @property
-    def n3_freq(self) -> float:
-        return float(_col11_split(self.freq_mean)[2])
-
-    @property
-    def n4_freq(self) -> float:
-        return float(_col11_split(self.freq_mean)[3])
-
-    @property
     def n2_count(self) -> int:
         return int(_col11_split(self.counts)[1])
 
@@ -259,6 +243,7 @@ class FrequencyReport:
                     "limit": float(TABLE_LIMITS[r, c]),
                 }
         even11, odd11 = self.col11_parity_freq()
+        n1, n2, n3, n4 = _col11_split(self.freq_mean)
         return {
             "n": self.n,
             "mode": self.mode,
@@ -267,10 +252,10 @@ class FrequencyReport:
             "cells": cells,
             "cells_combined": combined,
             "derived": {
-                "n1": self.n1_freq,
-                "n2": self.n2_freq,
-                "n3": self.n3_freq,
-                "n4": self.n4_freq,
+                "n1": float(n1),
+                "n2": float(n2),
+                "n3": float(n3),
+                "n4": float(n4),
                 "column_sums": [float(x) for x in self.column_sums],
                 "col11_even": even11,
                 "col11_odd": odd11,

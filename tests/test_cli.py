@@ -1,7 +1,10 @@
+import argparse
 import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -104,25 +107,36 @@ class TestEvolve:
         assert out1 == out2
 
     def test_memory_guard_error(self, capsys):
-        code, _, err = run_cli(capsys, "evolve", "--p", str(2**26 + 1), "--steps", "1")
-        assert code == 1 and "error" in err
+        for steps in ("0", "1"):
+            code, out, err = run_cli(capsys, "evolve", "--p", str(2**26 + 1), "--steps", steps)
+            assert_one_line_error(code, err)
+            assert "exceeds guard" in err and out == ""
 
-    def test_memory_guard_override(self, capsys):
-        code, _, err = run_cli(
-            capsys, "evolve", "--p", "101", "--steps", "1", "--max-p-override", "99"
+    def test_guard_modulus_without_steps_stays_small(self, tmp_path):
+        # one trace row at the largest prime below the guard touches no p-vector.
+        # A small launcher starts the measured run, since os.wait4 reports at least
+        # the peak RSS of the process a child was started from, and pytest is large.
+        launcher = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:]); "
+                    "_, status, usage = os.wait4(child.pid, 0); "
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        target = tmp_path / "trace.csv"
+        src = str(Path(cdgproc.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m", "cdgproc.cli", "evolve",
+             "--p", "67108859", "--steps", "0", "--out", str(target)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
         )
-        assert code == 1 and "error" in err
-        code, out, _ = run_cli(
-            capsys, "evolve", "--p", "101", "--steps", "1", "--max-p-override", "101"
-        )
-        assert code == 0 and len(out.strip().splitlines()) == 3
+        code, peak_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
+        assert code == 0
+        assert len(target.read_text().splitlines()) == 2
+        assert peak_kib < 256 * 1024
 
     @pytest.mark.parametrize("command", [("evolve", "--p", "101", "--steps", "1"),
                                          ("scan", "--primes", "101")])
-    def test_memory_guard_override_zero_is_honoured(self, capsys, command):
-        code, _, err = run_cli(capsys, *command, "--max-p-override", "0")
+    def test_guard_is_not_an_option(self, command):
+        code, out, err = run_captured(*command, "--max-p-override", "5")
         assert_one_line_error(code, err)
-        assert "exceeds guard 0" in err
+        assert "unrecognized arguments" in err and out == ""
 
     def test_step_count_above_trace_limit_is_error(self, capsys):
         code, out, err = run_cli(
@@ -216,6 +230,22 @@ class TestScan:
     def test_negative_step_cap_is_error(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--primes", "101", "--steps", "-1")
         assert_one_line_error(code, err)
+
+    def test_range_across_guard_refused_before_any_modulus(self, capsys, monkeypatch):
+        calls = []
+        original = distribution.iter_evolve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(distribution, "iter_evolve", counted)
+        # 67108859 lies below the guard and 67108879 above it
+        code, out, err = run_cli(
+            capsys, "scan", "--p-min", "67108800", "--p-max", "67108900", "--steps", "0"
+        )
+        assert_one_line_error(code, err)
+        assert "exceeds guard" in err and out == "" and calls == []
 
     def test_guard_checked_before_any_modulus(self, capsys):
         # the composite 9 would be warned about and evolved first
@@ -721,3 +751,29 @@ class TestEntryPoint:
         text = parser.format_help()
         for name in ("evolve", "scan", "canon", "stats", "bounds", "simulate"):
             assert name in text
+
+
+class TestReadme:
+    """The README's Command line and Output formats sections keep up with the parser."""
+
+    @staticmethod
+    def section(title):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_examples_parse(self):
+        block = self.section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("cdg ")]
+        assert len(examples) >= 6
+        for argv in examples:
+            build_parser().parse_args(argv)  # an unknown flag exits 1
+
+    def test_named_flags_exist(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {flag for sp in subparsers.choices.values()
+                   for flag in sp._option_string_actions}
+        for title in ("Command line", "Output formats"):
+            named = set(re.findall(r"--[a-z][a-z-]*", self.section(title)))
+            assert named and named <= options, named - options
