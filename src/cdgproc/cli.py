@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .process import (
     parse_digits,
     value_of,
 )
-from .stats import exhaustive_expectations, monte_carlo_frequencies
+from .stats import exhaustive_expectations, monte_carlo_frequencies, substream
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -43,9 +42,14 @@ MAX_TRACE_STEPS = 100_000
 
 #: moduli above this cannot be simulated with int64 arithmetic
 SIMULATE_MAX_MODULUS = 1 << 61
+#: simulate walks its trials in blocks of this many, block b on substream b of --seed
+SIMULATE_BLOCK = 1 << 20
+#: simulate writes its histogram in pieces of this many rows
+_HISTOGRAM_PIECE = 1 << 16
 
 # Cost limits, checked before any work.  At the slowest rates measured on a 2-core
-# Xeon VM (31, 15 and 17 ns a unit) the largest accepted input runs about 4 minutes.
+# Xeon VM (31, 15 and 25 ns a unit; simulate's slowest is 100 trials x 10^5 steps of a
+# non-uniform law, int8 draws) the largest accepted input runs about 4 minutes.
 #: evolve refuses steps x p above this
 MAX_EVOLVE_COST = 1 << 33
 #: scan refuses the sum of _scan_cost over its moduli above this
@@ -105,9 +109,10 @@ def _parse_dist(text: str) -> IncrementDistribution:
     return IncrementDistribution(*vals)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, append: bool = False) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "a" if append else "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -338,6 +343,54 @@ def _histogram_rows(row: str, residues: list, counts: list) -> str:
     return row * len(residues) % tuple(pairs)
 
 
+def _emit_histogram(head: str, row: str, last: str, residues, counts, out: str | None) -> None:
+    """head, then every entry but the last as `row` in pieces of _HISTOGRAM_PIECE, then `last`."""
+    _emit(head, out)
+    end = len(residues) - 1
+    for lo in range(0, end, _HISTOGRAM_PIECE):
+        hi = min(lo + _HISTOGRAM_PIECE, end)
+        text = _histogram_rows(row, residues[lo:hi].tolist(), counts[lo:hi].tolist())
+        _emit(text, out, append=True)
+    _emit(last % (residues[end], counts[end]), out, append=True)
+
+
+def _block_tally(rng, p: int, steps: int, trials: int, dist: IncrementDistribution):
+    """Sorted endpoints mod p, and their counts, of `trials` walks with int8 draws from rng."""
+    x = np.zeros(trials, dtype=np.int64)
+    support = np.array([-1, 0, 1], dtype=np.int8)
+    probs, uniform = list(dist.as_tuple()), dist.is_uniform_thirds
+    # x advances in place without reduction, |x| <= bound = 2^k - 1 after k steps,
+    # and is reduced mod p only before a step could reach 2^62.  p <= 2^61 keeps the
+    # step after a reduction below that, and the residues are those of (2x + b) % p.
+    bound = 0
+    for _ in range(steps):
+        if uniform:
+            b = rng.integers(-1, 2, size=trials, dtype=np.int8)
+        else:
+            b = rng.choice(support, size=trials, p=probs)
+        if 2 * bound + 1 >= 1 << 62:
+            np.remainder(x, p, out=x)
+            bound = p - 1
+        x <<= 1
+        x += b
+        bound = 2 * bound + 1
+    np.remainder(x, p, out=x)
+    return np.unique(x, return_counts=True)
+
+
+def _merge_tally(residues, counts, new, new_counts):
+    """The sorted tally of two sorted tallies, each with distinct residues; counts is updated."""
+    if not residues.size:  # inserting the first block would copy it at the peak
+        return new, new_counts
+    pos = np.searchsorted(residues, new)
+    hit = pos < residues.size
+    hit[hit] = residues[pos[hit]] == new[hit]
+    counts[pos[hit]] += new_counts[hit]
+    miss = ~hit
+    return (np.insert(residues, pos[miss], new[miss]),
+            np.insert(counts, pos[miss], new_counts[miss]))
+
+
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trial count {args.trials} must be at least 1")
@@ -349,36 +402,21 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"modulus {p} exceeds the int64 simulation limit")
     cost = (args.steps + _TRIAL_UNITS) * (args.trials + _STEP_UNITS)
     _check_cost("simulate", cost, MAX_SIMULATE_COST, "reduce --trials or --steps")
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    x = np.zeros(args.trials, dtype=np.int64)
-    support = np.array([-1, 0, 1], dtype=np.int64)
-    probs = list(dist.as_tuple())
-    # x advances in place without reduction, |x| <= bound = 2^k - 1 after k steps,
-    # and is reduced mod p only before a step could reach 2^62.  p <= 2^61 keeps the
-    # step after a reduction below that, and the residues are those of (2x + b) % p.
-    bound = 0
-    for _ in range(args.steps):
-        if dist.is_uniform_thirds:
-            b = rng.integers(-1, 2, size=args.trials)
-        else:
-            b = rng.choice(support, size=args.trials, p=probs)
-        if 2 * bound + 1 >= 1 << 62:
-            np.remainder(x, p, out=x)
-            bound = p - 1
-        x <<= 1
-        x += b
-        bound = 2 * bound + 1
-    np.remainder(x, p, out=x)
-    residues, counts = np.unique(x, return_counts=True)
+    # the memory is one block's walk plus the running tally, whatever --trials is
+    root = np.random.SeedSequence(args.seed)
+    residues = counts = np.zeros(0, dtype=np.int64)
+    for lo in range(0, args.trials, SIMULATE_BLOCK):
+        rng = substream(root, lo // SIMULATE_BLOCK)
+        tally = _block_tally(rng, p, args.steps, min(SIMULATE_BLOCK, args.trials - lo), dist)
+        residues, counts = _merge_tally(residues, counts, *tally)
     # plug-in estimate: visited residues contribute |c/T - 1/p|, the rest 1/p each
     tvd = dist_mod.tvd_uniform(counts / args.trials, p)
     bias_note = (
         "plug-in TVD is biased upward by roughly sqrt(p/(2*pi*trials)) "
         "when trials is not much larger than p"
     )
-    # the histogram rows are formatted straight from the arrays: a dict of every
-    # endpoint would set the peak memory
-    residues, counts = residues.tolist(), counts.tolist()
+    # the histogram rows are written in pieces straight from the arrays: a dict of
+    # every endpoint, or the whole text at once, would set the peak memory
     if args.format == "csv":
         lines = [
             f"# p={p} steps={args.steps} trials={args.trials} seed={args.seed}",
@@ -386,7 +424,7 @@ def cmd_simulate(args) -> int:
             f"# {bias_note}",
             "residue,count\n",
         ]
-        _emit("\n".join(lines) + _histogram_rows("%d,%d\n", residues, counts), args.out)
+        _emit_histogram("\n".join(lines), "%d,%d\n", "%d,%d\n", residues, counts, args.out)
     else:
         head = json.dumps(
             {
@@ -395,7 +433,7 @@ def cmd_simulate(args) -> int:
                 "steps": args.steps,
                 "trials": args.trials,
                 "seed": args.seed,
-                "dist": probs,
+                "dist": list(dist.as_tuple()),
                 "tvd_estimate": float(tvd),
                 "bias_note": bias_note,
                 "distinct_endpoints": len(residues),
@@ -404,9 +442,9 @@ def cmd_simulate(args) -> int:
             indent=2,
             allow_nan=False,
         )
-        rows = _histogram_rows('    "%d": %d,\n', residues, counts)[:-2]
         # head ends with the empty histogram '{}' and the closing '\n}'
-        _emit(f"{head[:-4]}{{\n{rows}\n  }}\n}}\n", args.out)
+        _emit_histogram(f"{head[:-4]}{{\n", '    "%d": %d,\n', '    "%d": %d\n  }\n}\n',
+                        residues, counts, args.out)
     return 0
 
 

@@ -11,7 +11,10 @@ counts and the concentration of the number of +1 increments.
 Monte Carlo draws one substream per block of about 2^16 digits of trials and
 keeps per-cell sums and sums of squares, so its memory does not grow with
 the trial count; its cost, trials x (n + 48), is checked before anything is
-drawn, and chunks are whole blocks of at most 2^20 such units (or one block).
+drawn.  One chunk budget of 2^20 such units serves both modes: a Monte Carlo
+chunk is the most whole blocks within it (or one block), an exhaustive chunk
+the most enumerated rows (or one row), so neither mode's memory grows with
+the trial count or with 3^n.
 
 All reports use the first-1 table orientation.  Statistics are identical
 under negation, so Monte Carlo negates first-minus-1 draws before counting,
@@ -20,6 +23,7 @@ and exhaustive mode counts the first-1 strings for either class.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +58,7 @@ __all__ = [
     "exhaustive_expectations",
     "monte_carlo_frequencies",
     "ones_count_statistics",
+    "substream",
 ]
 
 #: exhaustive enumeration bound; 3^14 strings is the practical ceiling
@@ -71,7 +76,7 @@ MAX_MC_COST = 1 << 32
 MAX_MC_LENGTH = 1 << 24
 #: a Monte Carlo substream covers about this many digits (whole rows, at least one)
 _BLOCK_DIGITS = 1 << 16
-#: a Monte Carlo chunk is whole blocks of at most this many MAX_MC_COST units (or one block)
+#: a chunk of either mode holds at most this many MAX_MC_COST units (or one block or row)
 _CHUNK_UNITS = 1 << 20
 
 # cell code ((row * 4) + col) * 2 at [(b_prev + 1) * 12 + (b_cur + 1) * 4 + bt_prev * 2 + bt_cur]
@@ -84,6 +89,14 @@ class AllZeroInputError(ValueError):
 
 class TooLargeError(ValueError):
     """Length exceeds the exhaustive enumeration bound."""
+
+
+def substream(root: np.random.SeedSequence, b: int) -> np.random.Generator:
+    """A generator on child b of root.spawn(...), built on its own so that no list grows with b."""
+    child = np.random.SeedSequence(
+        root.entropy, spawn_key=(*root.spawn_key, b), pool_size=root.pool_size
+    )
+    return np.random.default_rng(child)
 
 
 def _pair_codes(raw: np.ndarray, canon: np.ndarray) -> np.ndarray:
@@ -263,10 +276,16 @@ class FrequencyReport:
         }
 
 
+@functools.cache
 def _all_strings(k: int) -> np.ndarray:
-    """All 3^k length-k strings in base-3 enumeration order, as int8 rows."""
+    """All 3^k length-k strings in base-3 enumeration order, as read-only int8 rows.
+
+    Cached: every exhaustive chunk reads the same two tables.
+    """
     pows = 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return (np.arange(3**k, dtype=np.int64)[:, None] // pows % 3 - 1).astype(np.int8)
+    rows = (np.arange(3**k, dtype=np.int64)[:, None] // pows % 3 - 1).astype(np.int8)
+    rows.flags.writeable = False
+    return rows
 
 
 def _digit_matrix(lo: int, hi: int, n: int) -> np.ndarray:
@@ -298,6 +317,8 @@ def exhaustive_expectations(
     with the same counts in the first-1 orientation, so sequence_class only
     sets the conditioning label.  Every string enters with equal weight; the
     result is the brute-force oracle the Monte Carlo path is checked against.
+    The rows are tallied in chunks of the most rows whose rows x (n + 48) fits
+    in _CHUNK_UNITS, so the memory does not grow with 3^n.
     """
     if n < 1:
         raise ValueError(f"length {n} must be at least 1")
@@ -307,7 +328,7 @@ def exhaustive_expectations(
         raise ValueError("cannot condition on the all-zero class")
 
     total = 3**n
-    chunk = 3 ** min(n, 12)
+    chunk = max(1, _CHUNK_UNITS // (n + _CELLS))
     counts = np.zeros((6, 4, 2), dtype=np.int64)
     for lo in range((total + 1) // 2, total, chunk):
         work = _digit_matrix(lo, min(lo + chunk, total), n)
@@ -359,12 +380,8 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
         hi = min(lo + per_chunk, trials)
         mat = np.empty((hi - lo, n), dtype=np.int8)
         for start in range(lo, hi, block):
-            # child b of root.spawn(...), built on its own so that no list grows with trials
-            child = np.random.SeedSequence(
-                root.entropy, spawn_key=(*root.spawn_key, start // block), pool_size=root.pool_size
-            )
             rows = min(block, hi - start)
-            mat[start - lo : start - lo + rows] = np.random.default_rng(child).integers(
+            mat[start - lo : start - lo + rows] = substream(root, start // block).integers(
                 -1, 2, size=(rows, n), dtype=np.int8
             )
         sign = _first_nonzero_sign(mat)

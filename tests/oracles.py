@@ -153,24 +153,29 @@ def per_trial_substream_rows(n: int, trials: int, seed) -> np.ndarray:
     )
 
 
-def simulate_endpoints(p: int, steps: int, trials: int, seed, q=None) -> dict[int, int]:
+def simulate_endpoints(p: int, steps: int, trials: int, seed, q, block: int) -> dict[int, int]:
     """Endpoint histogram of `cdg simulate`, walked with Python integers, residues ascending.
 
-    The draws replay the CLI's generator calls: per step one
-    rng.integers(-1, 2, size=trials) when q is None (the uniform law), else one
-    rng.choice([-1, 0, 1], size=trials, p=q).  Every trial is reduced,
-    x = (2x + b) % p, after every step.
+    Trials come in blocks of `block`; block b draws from child b of
+    SeedSequence(seed).spawn(ceil(trials / block)).  The draws replay the CLI's
+    generator calls: per step one rng.integers(-1, 2, size=rows, dtype=int8)
+    when q is None (the uniform law), else one rng.choice(int8 [-1, 0, 1],
+    size=rows, p=q).  Every trial is reduced, x = (2x + b) % p, after every step.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    support = np.array([-1, 0, 1], dtype=np.int64)
-    x = [0] * trials
-    for _ in range(steps):
-        if q is None:
-            b = rng.integers(-1, 2, size=trials)
-        else:
-            b = rng.choice(support, size=trials, p=list(q))
-        x = [(2 * xi + bi) % p for xi, bi in zip(x, b.tolist())]
-    return dict(sorted(Counter(x).items()))
+    support = np.array([-1, 0, 1], dtype=np.int8)
+    tally = Counter()
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(-(-trials // block))):
+        rng = np.random.default_rng(child)
+        rows = min(block, trials - b * block)
+        x = [0] * rows
+        for _ in range(steps):
+            if q is None:
+                d = rng.integers(-1, 2, size=rows, dtype=np.int8)
+            else:
+                d = rng.choice(support, size=rows, p=list(q))
+            x = [(2 * xi + di) % p for xi, di in zip(x, d.tolist())]
+        tally.update(x)
+    return dict(sorted(tally.items()))
 
 
 def per_trial_moments(cells: np.ndarray, n: int):

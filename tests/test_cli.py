@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -508,18 +510,80 @@ class TestSimulate:
                              ids=["uniform", "sixth_half_third"])
     @pytest.mark.parametrize("steps", [0, 1, 61, 62, 63, 130])
     @pytest.mark.parametrize("p", [3, 1000003, 2**61 - 1])
-    def test_histogram_matches_python_integer_oracle(self, capsys, p, steps, dist, q):
+    def test_histogram_matches_python_integer_oracle(self, capsys, monkeypatch, p, steps,
+                                                     dist, q):
         # the walk reduces mod p only before int64 could overflow; the oracle reduces
-        # Python integers on every step, and 2^61 - 1 is the largest accepted prime
+        # Python integers on every step, and 2^61 - 1 is the largest accepted prime.
+        # Blocks of 7 split the 300 trials into 43 tallies to merge: at p = 3 every
+        # block's residues collide with the others', at 2^61 - 1 (steps >= 61) none do.
         args = ("simulate", f"--p={p}", f"--steps={steps}", "--trials=300", "--seed=23",
                 f"--dist={dist}")
-        expected = simulate_endpoints(p, steps, 300, 23, q)
-        _, out, _ = run_cli(capsys, *args)
-        histogram = json.loads(out)["histogram"]
-        assert [(int(r), c) for r, c in histogram.items()] == list(expected.items())
-        _, csv_out, _ = run_cli(capsys, *args, "--format=csv")
-        rows = csv_out.splitlines()
-        assert rows[rows.index("residue,count") + 1:] == [f"{r},{c}" for r, c in expected.items()]
+        for block in (cli.SIMULATE_BLOCK, 7):
+            monkeypatch.setattr(cli, "SIMULATE_BLOCK", block)
+            expected = simulate_endpoints(p, steps, 300, 23, q, block)
+            _, out, _ = run_cli(capsys, *args)
+            payload = json.loads(out)
+            assert [(int(r), c) for r, c in payload["histogram"].items()] == list(expected.items())
+            assert payload["distinct_endpoints"] == len(expected)
+            _, csv_out, _ = run_cli(capsys, *args, "--format=csv")
+            rows = csv_out.splitlines()
+            assert rows[rows.index("residue,count") + 1:] == [
+                f"{r},{c}" for r, c in expected.items()]
+
+    @pytest.mark.parametrize("steps", ["0", "1", "12"])
+    def test_streamed_output_is_the_whole_text(self, capsys, monkeypatch, tmp_path, steps):
+        # the histogram is written in pieces of 5 rows, every one through _emit's `text`,
+        # and the text is the one a single piece gives
+        args = ("simulate", "--p", "1009", "--steps", steps, "--trials", "400", "--seed", "8")
+        whole = {fmt: run_cli(capsys, *args, f"--format={fmt}")[1] for fmt in ("json", "csv")}
+        monkeypatch.setattr(cli, "_HISTOGRAM_PIECE", 5)
+        emit, texts = cli._emit, []
+
+        def spy(*args, **kwargs):
+            text = inspect.signature(emit).bind(*args, **kwargs).arguments["text"]
+            assert isinstance(text, str)
+            texts.append(text)
+            return emit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        for fmt in ("json", "csv"):
+            texts.clear()
+            code, out, _ = run_cli(capsys, *args, f"--format={fmt}")
+            assert code == 0 and out == whole[fmt] and "".join(texts) == out
+            if steps == "12":
+                assert len(texts) > 10
+            if fmt == "json":
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            path = tmp_path / f"histogram.{fmt}"
+            path.write_text("stale text longer than nothing\n" * 1000)
+            code, file_out, _ = run_cli(capsys, *args, f"--format={fmt}", f"--out={path}")
+            assert code == 0 and file_out == ""
+            assert path.read_bytes() == out.encode()
+
+    def test_refused_run_creates_no_out_file(self, capsys, tmp_path):
+        path = tmp_path / "histogram.json"
+        code, out, err = run_cli(capsys, "simulate", "--p", "101", "--steps", "1000000000",
+                                 "--trials", "1", f"--out={path}")
+        assert_one_line_error(code, err)
+        assert out == "" and not path.exists()
+
+    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch, tmp_path):
+        # blocks of 2^14 trials at p = 1009: four blocks peak about where one does
+        # (holding every trial at once, 4 x 2^14 trials peaked 1.3 MB above 2^14)
+        monkeypatch.setattr(cli, "SIMULATE_BLOCK", 1 << 14)
+
+        def peak(trials):
+            argv = ["simulate", "--p", "1009", "--steps", "30", "--trials", str(trials),
+                    f"--out={tmp_path / 'histogram.json'}"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)
+        assert peak(4 << 14) <= peak(1 << 14) + (1 << 17)
 
 
 class TestCostLimits:

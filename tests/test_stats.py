@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -204,12 +205,29 @@ class TestExhaustive:
 
         monkeypatch.setattr(stats, "_digit_matrix", spy)
         exhaustive_expectations(14)
-        assert len(ends) == 5
+        # the budget's chunks: 142 of 16912 rows for the 2391484 first-1 strings
+        used, rows = (3**14 - 1) // 2, stats._CHUNK_UNITS // (14 + stats._CELLS)
+        assert len(ends) == -(-used // rows)
         assert ends[0][0] == (3**14 + 1) // 2 and ends[-1][1] == 3**14
         assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
         for lo, hi, first, last in ends:
             assert first == [lo // 3 ** (13 - k) % 3 - 1 for k in range(14)]
             assert last == [(hi - 1) // 3 ** (13 - k) % 3 - 1 for k in range(14)]
+
+    def test_peak_memory_does_not_grow_with_3_to_the_n(self):
+        # chunks of at most _CHUNK_UNITS units: n = 13 enumerates three times the rows
+        # of n = 12 in chunks of about the same size (the 3^12-row chunks peaked at
+        # 61 MB against 28 MB)
+        def peak(n):
+            tracemalloc.start()
+            try:
+                exhaustive_expectations(n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        exhaustive_expectations(3)
+        assert peak(13) <= peak(12) + (1 << 19)
 
     def test_minus_class_matches_by_negation(self):
         a = exhaustive_expectations(8, SequenceClass.FIRST_ONE)
