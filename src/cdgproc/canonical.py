@@ -110,24 +110,13 @@ class BlockDecomposition:
     """Leading zeros plus the block list of a first-1 string.
 
     The final block is truncated by the end of the string (a longer string
-    could extend it), so it is flagged; counting code that wants unbiased
-    block statistics should use complete_blocks.
+    could extend it), so it is flagged.
     """
 
     leading_zeros: int
     blocks: tuple[tuple[int, ...], ...]
     start_positions: tuple[int, ...]
     last_is_partial: bool
-
-    @property
-    def complete_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.blocks[:-1] if self.last_is_partial else self.blocks
-
-    def flatten(self) -> tuple[int, ...]:
-        flat: list[int] = [0] * self.leading_zeros
-        for block in self.blocks:
-            flat.extend(block)
-        return tuple(flat)
 
 
 def classify(digits) -> SequenceClass:

@@ -4,6 +4,8 @@ Every subcommand is deterministic given its full flag set (including --seed),
 writes data to stdout (or --out) and diagnostics to stderr, and exits 0 only
 on success.  CSV floats are printed with 12 significant digits; JSON output
 validates against schemas/cli_output.schema.json shipped with the package.
+This module holds argument handling, cost checks and output only: `simulate`
+samples through process.sample_endpoints, the library's one chain sampler.
 """
 
 from __future__ import annotations
@@ -14,19 +16,20 @@ import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import distribution as dist_mod
 from .canonical import SequenceClass, canonicalize, decompose_blocks
 from .process import (
+    SIMULATE_MAX_MODULUS,
     IncrementDistribution,
     ProcessParams,
     format_digits,
+    is_prime,
     parse_digits,
+    sample_endpoints,
     value_of,
 )
-from .stats import exhaustive_expectations, monte_carlo_frequencies, substream
+from .stats import exhaustive_expectations, monte_carlo_frequencies
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -40,10 +43,6 @@ _SCAN_COLUMNS = ("p", "log2_p", "cross_075", "cross_050", "cross_025", "cross_00
 #: evolve keeps every trace row and the whole output text in memory, about 1.5 KB a step
 MAX_TRACE_STEPS = 100_000
 
-#: moduli above this cannot be simulated with int64 arithmetic
-SIMULATE_MAX_MODULUS = 1 << 61
-#: simulate walks its trials in blocks of this many, block b on substream b of --seed
-SIMULATE_BLOCK = 1 << 20
 #: simulate writes its histogram in pieces of this many rows
 _HISTOGRAM_PIECE = 1 << 16
 
@@ -59,34 +58,6 @@ MAX_SIMULATE_COST = 1 << 33
 #: fixed costs: a step in residues (scan) or trials (simulate), a trial's output in steps
 _STEP_UNITS = 1000
 _TRIAL_UNITS = 64
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
@@ -354,61 +325,18 @@ def _emit_histogram(head: str, row: str, last: str, residues, counts, out: str |
     _emit(last % (residues[end], counts[end]), out, append=True)
 
 
-def _block_tally(rng, p: int, steps: int, trials: int, dist: IncrementDistribution):
-    """Sorted endpoints mod p, and their counts, of `trials` walks with int8 draws from rng."""
-    x = np.zeros(trials, dtype=np.int64)
-    support = np.array([-1, 0, 1], dtype=np.int8)
-    probs, uniform = list(dist.as_tuple()), dist.is_uniform_thirds
-    # x advances in place without reduction, |x| <= bound = 2^k - 1 after k steps,
-    # and is reduced mod p only before a step could reach 2^62.  p <= 2^61 keeps the
-    # step after a reduction below that, and the residues are those of (2x + b) % p.
-    bound = 0
-    for _ in range(steps):
-        if uniform:
-            b = rng.integers(-1, 2, size=trials, dtype=np.int8)
-        else:
-            b = rng.choice(support, size=trials, p=probs)
-        if 2 * bound + 1 >= 1 << 62:
-            np.remainder(x, p, out=x)
-            bound = p - 1
-        x <<= 1
-        x += b
-        bound = 2 * bound + 1
-    np.remainder(x, p, out=x)
-    return np.unique(x, return_counts=True)
-
-
-def _merge_tally(residues, counts, new, new_counts):
-    """The sorted tally of two sorted tallies, each with distinct residues; counts is updated."""
-    if not residues.size:  # inserting the first block would copy it at the peak
-        return new, new_counts
-    pos = np.searchsorted(residues, new)
-    hit = pos < residues.size
-    hit[hit] = residues[pos[hit]] == new[hit]
-    counts[pos[hit]] += new_counts[hit]
-    miss = ~hit
-    return (np.insert(residues, pos[miss], new[miss]),
-            np.insert(counts, pos[miss], new_counts[miss]))
-
-
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trial count {args.trials} must be at least 1")
     if args.steps < 0:
         raise ValueError(f"step count {args.steps} is negative")
-    dist = _parse_dist(args.dist)
-    p = ProcessParams(args.p, dist).modulus
+    params = ProcessParams(args.p, _parse_dist(args.dist))
+    p = params.modulus
     if p > SIMULATE_MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds the int64 simulation limit")
     cost = (args.steps + _TRIAL_UNITS) * (args.trials + _STEP_UNITS)
     _check_cost("simulate", cost, MAX_SIMULATE_COST, "reduce --trials or --steps")
-    # the memory is one block's walk plus the running tally, whatever --trials is
-    root = np.random.SeedSequence(args.seed)
-    residues = counts = np.zeros(0, dtype=np.int64)
-    for lo in range(0, args.trials, SIMULATE_BLOCK):
-        rng = substream(root, lo // SIMULATE_BLOCK)
-        tally = _block_tally(rng, p, args.steps, min(SIMULATE_BLOCK, args.trials - lo), dist)
-        residues, counts = _merge_tally(residues, counts, *tally)
+    residues, counts = sample_endpoints(params, args.steps, args.trials, args.seed)
     # plug-in estimate: visited residues contribute |c/T - 1/p|, the rest 1/p each
     tvd = dist_mod.tvd_uniform(counts / args.trials, p)
     bias_note = (
@@ -433,7 +361,7 @@ def cmd_simulate(args) -> int:
                 "steps": args.steps,
                 "trials": args.trials,
                 "seed": args.seed,
-                "dist": list(dist.as_tuple()),
+                "dist": list(params.increments.as_tuple()),
                 "tvd_estimate": float(tvd),
                 "bias_note": bias_note,
                 "distinct_endpoints": len(residues),

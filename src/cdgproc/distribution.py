@@ -266,12 +266,10 @@ def entropy_bits(dist: np.ndarray) -> float:
     return float(-_fold(dist, term) + 0.0)
 
 
-def support_size(dist: np.ndarray, threshold: float = 0.0) -> int:
-    """Number of residues with mass strictly above threshold."""
-    if threshold < 0:
-        raise ValueError(f"threshold {threshold} is negative")
+def support_size(dist: np.ndarray) -> int:
+    """Number of residues with positive mass."""
     dist = np.asarray(dist, dtype=np.float64)
-    return int(np.count_nonzero(dist > threshold))
+    return int(np.count_nonzero(dist > 0))
 
 
 def _running_sums(above: float, masses: np.ndarray) -> np.ndarray:

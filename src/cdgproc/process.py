@@ -1,4 +1,4 @@
-"""Chain definition and trajectory sampling for x_{k+1} = 2*x_k + b_k (mod p).
+"""Chain definition and the one sampler of x_{k+1} = 2*x_k + b_k (mod p).
 
 The increments b_k are i.i.d. on {-1, 0, 1}.  A length-n increment string
 (b_0, ..., b_{n-1}) determines the endpoint exactly:
@@ -6,6 +6,8 @@ The increments b_k are i.i.d. on {-1, 0, 1}.  A length-n increment string
     X_n = sum_i  2^(n-1-i) * b_i   (before reduction mod p)
 
 so trajectories, endpoint values and digit strings are interchangeable here.
+`sample_endpoints` is the library's one sampler of the chain, behind
+`cdg simulate`; `substream`, its seed rule, also serves `stats`.
 """
 
 from __future__ import annotations
@@ -23,16 +25,26 @@ __all__ = [
     "IncrementDistribution",
     "ModulusTooSmallError",
     "ProcessParams",
+    "SIMULATE_BLOCK",
+    "SIMULATE_MAX_MODULUS",
     "UNIFORM_INCREMENTS",
     "as_digit_array",
     "format_digits",
+    "is_prime",
     "parse_digits",
-    "sample_trajectory",
+    "sample_endpoints",
+    "substream",
     "value_of",
 ]
 
 #: probabilities must sum to 1 within this absolute tolerance
 DIST_TOLERANCE = 1e-12
+#: moduli above this cannot be walked with int64 arithmetic
+SIMULATE_MAX_MODULUS = 1 << 61
+#: sample_endpoints walks its trials in blocks of this many, block b on substream b of the seed
+SIMULATE_BLOCK = 1 << 20
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class BadDistributionError(ValueError):
@@ -150,24 +162,89 @@ def format_digits(digits) -> str:
     return "".join(_DIGIT_TO_CHAR[int(d)] for d in arr)
 
 
-def sample_trajectory(params: ProcessParams, n: int, seed) -> tuple[np.ndarray, int]:
-    """Sample n i.i.d. increments and return (digit string, final residue).
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Identical (params, n, seed) always yields identical output.  The final
-    residue is computed through the recurrence itself, so it doubles as a
-    cross-check of value_of (their agreement mod p is a tested invariant).
+
+def substream(root: np.random.SeedSequence, b: int) -> np.random.Generator:
+    """A generator on child b of root.spawn(...), built on its own so that no list grows with b."""
+    child = np.random.SeedSequence(
+        root.entropy, spawn_key=(*root.spawn_key, b), pool_size=root.pool_size
+    )
+    return np.random.default_rng(child)
+
+
+def _block_tally(rng, params: ProcessParams, steps: int, trials: int):
+    """Sorted endpoints mod p, and their counts, of `trials` walks with int8 draws from rng."""
+    p, dist = params.modulus, params.increments
+    x = np.zeros(trials, dtype=np.int64)
+    support = np.array([-1, 0, 1], dtype=np.int8)
+    probs, uniform = list(dist.as_tuple()), dist.is_uniform_thirds
+    # x advances in place without reduction, |x| <= bound = 2^k - 1 after k steps,
+    # and is reduced mod p only before a step could reach 2^62.  p <= 2^61 keeps the
+    # step after a reduction below that, and the residues are those of (2x + b) % p.
+    bound = 0
+    for _ in range(steps):
+        if uniform:
+            b = rng.integers(-1, 2, size=trials, dtype=np.int8)
+        else:
+            b = rng.choice(support, size=trials, p=probs)
+        if 2 * bound + 1 >= 1 << 62:
+            np.remainder(x, p, out=x)
+            bound = p - 1
+        x <<= 1
+        x += b
+        bound = 2 * bound + 1
+    np.remainder(x, p, out=x)
+    return np.unique(x, return_counts=True)
+
+
+def _merge_tally(residues, counts, new, new_counts):
+    """The sorted tally of two sorted tallies, each with distinct residues; counts is updated."""
+    if not residues.size:  # inserting the first block would copy it at the peak
+        return new, new_counts
+    pos = np.searchsorted(residues, new)
+    hit = pos < residues.size
+    hit[hit] = residues[pos[hit]] == new[hit]
+    counts[pos[hit]] += new_counts[hit]
+    miss = ~hit
+    return (np.insert(residues, pos[miss], new[miss]),
+            np.insert(counts, pos[miss], new_counts[miss]))
+
+
+def sample_endpoints(params: ProcessParams, steps: int, trials: int, seed) -> tuple:
+    """Endpoints X_steps of `trials` walks from 0: ascending distinct residues, and counts.
+
+    Block b of SIMULATE_BLOCK trials draws from substream(SeedSequence(seed), b), per
+    step int8 integers(-1, 2) under the uniform law, else choice over (-1, 0, 1), so
+    the memory does not grow with `trials`.  The caller checks steps >= 0,
+    trials >= 1 and modulus <= SIMULATE_MAX_MODULUS.
     """
-    if n < 0:
-        raise ValueError(f"step count {n} is negative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    q = params.increments
-    if q.is_uniform_thirds:
-        digits = rng.integers(-1, 2, size=n, dtype=np.int8)
-    else:
-        digits = rng.choice(
-            np.array([-1, 0, 1], dtype=np.int8), size=n, p=list(q.as_tuple())
-        ).astype(np.int8)
-    x, p = 0, params.modulus
-    for b in digits.tolist():
-        x = (2 * x + b) % p
-    return digits, x
+    root = np.random.SeedSequence(seed)
+    residues = counts = np.zeros(0, dtype=np.int64)
+    for lo in range(0, trials, SIMULATE_BLOCK):
+        rng = substream(root, lo // SIMULATE_BLOCK)
+        tally = _block_tally(rng, params, steps, min(SIMULATE_BLOCK, trials - lo))
+        residues, counts = _merge_tally(residues, counts, *tally)
+    return residues, counts

@@ -8,13 +8,14 @@ contiguous range of the base-3 enumeration), and by seeded Monte Carlo for
 large lengths; it also measures the block-pattern events behind the pair
 counts and the concentration of the number of +1 increments.
 
-Monte Carlo draws one substream per block of about 2^16 digits of trials and
-keeps per-cell sums and sums of squares, so its memory does not grow with
-the trial count; its cost, trials x (n + 48), is checked before anything is
-drawn.  One chunk budget of 2^20 such units serves both modes: a Monte Carlo
-chunk is the most whole blocks within it (or one block), an exhaustive chunk
-the most enumerated rows (or one row), so neither mode's memory grows with
-the trial count or with 3^n.
+Monte Carlo draws one substream (process.substream, also the seed rule of
+the chain's sampler process.sample_endpoints) per block of about 2^16 digits
+of trials and keeps per-cell sums and sums of squares, so its memory does not
+grow with the trial count; its cost, trials x (n + 48), is checked before
+anything is drawn.  One chunk budget of 2^20 such units serves both modes: a
+Monte Carlo chunk is the most whole blocks within it (or one block), an
+exhaustive chunk the most enumerated rows (or one row), so neither mode's
+memory grows with the trial count or with 3^n.
 
 All reports use the first-1 table orientation.  Statistics are identical
 under negation, so Monte Carlo negates first-minus-1 draws before counting,
@@ -40,7 +41,7 @@ from .canonical import (
     _ROW_LUT,
     _SIGN_CLASS,
 )
-from .process import IncrementDistribution, as_digit_array
+from .process import IncrementDistribution, as_digit_array, substream
 
 __all__ = [
     "AllZeroInputError",
@@ -58,7 +59,6 @@ __all__ = [
     "exhaustive_expectations",
     "monte_carlo_frequencies",
     "ones_count_statistics",
-    "substream",
 ]
 
 #: exhaustive enumeration bound; 3^14 strings is the practical ceiling
@@ -91,14 +91,6 @@ class TooLargeError(ValueError):
     """Length exceeds the exhaustive enumeration bound."""
 
 
-def substream(root: np.random.SeedSequence, b: int) -> np.random.Generator:
-    """A generator on child b of root.spawn(...), built on its own so that no list grows with b."""
-    child = np.random.SeedSequence(
-        root.entropy, spawn_key=(*root.spawn_key, b), pool_size=root.pool_size
-    )
-    return np.random.default_rng(child)
-
-
 def _pair_codes(raw: np.ndarray, canon: np.ndarray) -> np.ndarray:
     """Cell code per position a: ((row * 4) + col) * 2 + parity(a), as uint8.
 
@@ -125,7 +117,7 @@ def _aggregate_counts(codes: np.ndarray) -> np.ndarray:
 
 
 def _col11_split(cells: np.ndarray) -> tuple:
-    """(n1, n2, n3, n4) of a (6, 4, 2) cell array, as PairHistogram defines them."""
+    """(n1, n2, n3, n4): canon(1,1) by raw pair (1,1), (1,non-1), (non-1,1), neither; n2 = 0."""
     col = cells[:, 2].sum(axis=1)
     return col[0], col[4] + col[5], col[2] + col[3], col[1]
 
@@ -148,38 +140,11 @@ class PairHistogram:
     """Cell counts of one digit string: (6 rows, 4 columns, 2 parities).
 
     The parity axis is indexed by a mod 2, so cells[..., 1] counts odd a.
-    The four splits of the canon(1,1) column by the raw pair are exposed as
-    n1 (raw 1,1), n2 (raw 1 then non-1), n3 (raw non-1 then 1) and
-    n4 (raw neither 1); n2 is structurally zero.
     """
 
     n: int
     sequence_class: SequenceClass
     cells: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.cells.sum())
-
-    @property
-    def column_counts(self) -> np.ndarray:
-        return self.cells.sum(axis=(0, 2))
-
-    @property
-    def n1(self) -> int:
-        return int(_col11_split(self.cells)[0])
-
-    @property
-    def n2(self) -> int:
-        return int(_col11_split(self.cells)[1])
-
-    @property
-    def n3(self) -> int:
-        return int(_col11_split(self.cells)[2])
-
-    @property
-    def n4(self) -> int:
-        return int(_col11_split(self.cells)[3])
 
 
 def count_pairs(digits) -> PairHistogram:
@@ -455,19 +420,20 @@ def event_probabilities(
     complete blocks (a block is complete once the next 1 appears); events are
     evaluated on consecutive complete blocks.  The exact first-1 class
     probability for length class_length is reported next to an empirical
-    class histogram over class_trials fresh strings.
+    class histogram over class_trials fresh strings.  Trial t draws from
+    substream t of the seed, the class strings from substream `trials`.
     """
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be at least 1")
     if class_length < 1 or class_trials < 1:
         raise ValueError("class_length and class_trials must be at least 1")
 
-    children = np.random.SeedSequence(seed).spawn(trials + 1)
+    root = np.random.SeedSequence(seed)
     need_ones = horizon + 2
     single_freqs = np.empty(trials)
     minus_freqs = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng(children[t])
+        rng = substream(root, t)
         parts = [rng.integers(-1, 2, size=4 * need_ones + 64, dtype=np.int8)]
         ones_seen = int((parts[0] == 1).sum())
         while ones_seen < need_ones:
@@ -489,7 +455,7 @@ def event_probabilities(
     def _stderr(x):
         return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
 
-    class_rng = np.random.default_rng(children[trials])
+    class_rng = substream(root, trials)
     mat = class_rng.integers(-1, 2, size=(class_trials, class_length), dtype=np.int8)
     sign = _first_nonzero_sign(mat)
     return BlockEventReport(

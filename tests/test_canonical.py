@@ -190,7 +190,7 @@ class TestDecomposeBlocks:
         assert dec.blocks == ((1, -1, 0), (1, 0), (1, -1), (1,), (1,))
         assert dec.start_positions == (2, 5, 7, 9, 10)
         assert dec.last_is_partial
-        assert dec.complete_blocks == ((1, -1, 0), (1, 0), (1, -1), (1,))
+        assert dec.blocks[:-1] == ((1, -1, 0), (1, 0), (1, -1), (1,))
 
     def test_single_one(self):
         dec = decompose_blocks([1])
@@ -215,7 +215,7 @@ class TestDecomposeBlocks:
         first_one = mat[_signs(mat) == 1]
         for row in first_one[:: 7]:
             dec = decompose_blocks(row)
-            assert dec.flatten() == tuple(row.tolist())
+            assert (0,) * dec.leading_zeros + sum(dec.blocks, ()) == tuple(row.tolist())
             for block in dec.blocks:
                 assert block[0] == 1 and 1 not in block[1:]
 
@@ -227,7 +227,8 @@ class TestDecomposeBlocks:
                 digits = np.abs(digits, dtype=np.int8) if not digits.any() else -digits
             if classify(digits) is not SequenceClass.FIRST_ONE:
                 continue
-            assert decompose_blocks(digits).flatten() == tuple(digits.tolist())
+            dec = decompose_blocks(digits)
+            assert (0,) * dec.leading_zeros + sum(dec.blocks, ()) == tuple(digits.tolist())
 
 
 class TestPairCell:

@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdgproc
-from cdgproc import bounds, cli, distribution, stats
-from cdgproc.cli import MAX_TRACE_STEPS, _emit_json, build_parser, is_prime, main
+from cdgproc import bounds, canonical, cli, distribution, process, stats
+from cdgproc.cli import MAX_TRACE_STEPS, _emit_json, build_parser, main
+from cdgproc.process import is_prime
 from oracles import simulate_endpoints
 
 
@@ -518,8 +519,8 @@ class TestSimulate:
         # block's residues collide with the others', at 2^61 - 1 (steps >= 61) none do.
         args = ("simulate", f"--p={p}", f"--steps={steps}", "--trials=300", "--seed=23",
                 f"--dist={dist}")
-        for block in (cli.SIMULATE_BLOCK, 7):
-            monkeypatch.setattr(cli, "SIMULATE_BLOCK", block)
+        for block in (process.SIMULATE_BLOCK, 7):
+            monkeypatch.setattr(process, "SIMULATE_BLOCK", block)
             expected = simulate_endpoints(p, steps, 300, 23, q, block)
             _, out, _ = run_cli(capsys, *args)
             payload = json.loads(out)
@@ -570,7 +571,7 @@ class TestSimulate:
     def test_peak_memory_does_not_grow_with_trials(self, monkeypatch, tmp_path):
         # blocks of 2^14 trials at p = 1009: four blocks peak about where one does
         # (holding every trial at once, 4 x 2^14 trials peaked 1.3 MB above 2^14)
-        monkeypatch.setattr(cli, "SIMULATE_BLOCK", 1 << 14)
+        monkeypatch.setattr(process, "SIMULATE_BLOCK", 1 << 14)
 
         def peak(trials):
             argv = ["simulate", "--p", "1009", "--steps", "30", "--trials", str(trials),
@@ -594,7 +595,7 @@ class TestCostLimits:
             raise AssertionError("work began")
 
         monkeypatch.setattr(cli, "is_prime", refuse)
-        monkeypatch.setattr(cli.np.random, "default_rng", refuse)
+        monkeypatch.setattr(process.np.random, "default_rng", refuse)
         monkeypatch.setattr(distribution, "_apply_step", refuse)
 
     @pytest.mark.parametrize("argv, what", [
@@ -800,6 +801,14 @@ class TestEntryPoint:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
         )
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("module", [bounds, canonical, cli, distribution, process, stats],
+                             ids=lambda m: m.__name__)
+    def test_all_names_exist_once(self, module):
+        # a removal that leaves its name in __all__ fails here
+        names = module.__all__
+        assert len(names) == len(set(names))
+        assert [n for n in names if not hasattr(module, n)] == []
 
     def test_module_invocation(self):
         proc = subprocess.run(

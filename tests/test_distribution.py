@@ -267,10 +267,9 @@ class TestFunctionals:
         assert support_size(evolve(ProcessParams(5), 1)) == 3
 
     def test_support_threshold(self):
-        dist = np.array([0.5, 0.25, 0.25])
-        assert support_size(dist, threshold=0.3) == 1
-        with pytest.raises(ValueError):
-            support_size(dist, threshold=-1e-9)
+        # the threshold is zero: every positive mass counts, down to the smallest subnormal
+        tiny = np.finfo(np.float64).smallest_subnormal
+        assert support_size(np.array([0.5, 0.0, tiny, 0.5 - tiny, 0.0])) == 3
 
     def test_typical_point_mass(self):
         for delta in (0.01, 0.5, 0.99):

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cdgproc import process
 from cdgproc.process import (
     BadDigitError,
     BadDistributionError,
@@ -15,10 +17,11 @@ from cdgproc.process import (
     as_digit_array,
     format_digits,
     parse_digits,
-    sample_trajectory,
+    sample_endpoints,
+    substream,
     value_of,
 )
-from oracles import horner_value
+from oracles import horner_value, simulate_endpoints
 
 
 class TestValidateParams:
@@ -116,48 +119,80 @@ class TestDigitText:
         assert as_digit_array([1.0, -1.0, 0.0]).tolist() == [1, -1, 0]
 
 
+class TestSubstream:
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_matches_spawned_child(self, seed):
+        # every seeded draw relies on child b of spawn(...) without the list of children
+        children = np.random.SeedSequence(seed).spawn(9)
+        for b, child in enumerate(children):
+            expected = np.random.default_rng(child).integers(0, 1 << 62, size=4)
+            got = substream(np.random.SeedSequence(seed), b).integers(0, 1 << 62, size=4)
+            np.testing.assert_array_equal(got, expected)
+
+
 class TestSampleTrajectory:
+    """Walks of the chain, sampled through sample_endpoints, its one sampler."""
+
     def test_zero_steps(self):
-        digits, final = sample_trajectory(ProcessParams(101), 0, seed=1)
-        assert digits.size == 0 and final == 0
+        residues, counts = sample_endpoints(ProcessParams(101), 0, 5, seed=1)
+        assert residues.tolist() == [0] and counts.tolist() == [5]
 
     def test_single_step_range(self):
         for seed in range(20):
-            _, final = sample_trajectory(ProcessParams(101), 1, seed=seed)
-            assert final in (100, 0, 1)
+            residues, counts = sample_endpoints(ProcessParams(101), 1, 50, seed=seed)
+            assert set(residues.tolist()) <= {100, 0, 1} and counts.sum() == 50
 
     def test_determinism(self):
         params = ProcessParams(101)
-        d1, f1 = sample_trajectory(params, 500, seed=42)
-        d2, f2 = sample_trajectory(params, 500, seed=42)
-        assert np.array_equal(d1, d2) and f1 == f2
+        r1, c1 = sample_endpoints(params, 500, 300, seed=42)
+        r2, c2 = sample_endpoints(params, 500, 300, seed=42)
+        assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
 
     def test_different_seeds_differ(self):
         params = ProcessParams(101)
-        d1, _ = sample_trajectory(params, 500, seed=42)
-        d2, _ = sample_trajectory(params, 500, seed=43)
-        assert not np.array_equal(d1, d2)
+        r1, c1 = sample_endpoints(params, 500, 300, seed=42)
+        r2, c2 = sample_endpoints(params, 500, 300, seed=43)
+        assert not (np.array_equal(r1, r2) and np.array_equal(c1, c2))
 
     @pytest.mark.parametrize("increments", [UNIFORM_INCREMENTS, IncrementDistribution(0.2, 0.5, 0.3)])
     def test_final_state_consistent_with_value(self, increments):
+        # one block's per-step draws, read as 20 digit strings of 300 digits each,
+        # end where value_of puts them mod p
         params = ProcessParams(10007, increments)
+        support = np.array([-1, 0, 1], dtype=np.int8)
         for seed in (0, 7, 123):
-            digits, final = sample_trajectory(params, 300, seed=seed)
-            assert value_of(digits) % params.modulus == final
-
-    def test_negative_steps_rejected(self):
-        with pytest.raises(ValueError):
-            sample_trajectory(ProcessParams(101), -1, seed=0)
+            rng = substream(np.random.SeedSequence(seed), 0)
+            if increments.is_uniform_thirds:
+                draws = [rng.integers(-1, 2, size=20, dtype=np.int8) for _ in range(300)]
+            else:
+                draws = [rng.choice(support, size=20, p=list(increments.as_tuple()))
+                         for _ in range(300)]
+            ends = Counter(value_of(digits) % 10007 for digits in np.array(draws).T)
+            residues, counts = sample_endpoints(params, 300, 20, seed=seed)
+            assert dict(zip(residues.tolist(), counts.tolist())) == ends
 
     def test_empirical_plus_one_fraction(self):
-        # fraction of +1 digits concentrates at q_plus1
-        q = IncrementDistribution(0.0, 0.6, 0.4)
-        params = ProcessParams(101, q)
-        n, trials = 500, 200
-        total = sum(
-            int((sample_trajectory(params, n, seed=s)[0] == 1).sum())
-            for s in range(trials)
-        )
-        frac = total / (n * trials)
-        tol = 4 * math.sqrt(0.4 * 0.6 / (n * trials))
+        # after one step from 0 the endpoint is the increment, so residue 1 is b = +1
+        params = ProcessParams(101, IncrementDistribution(0.0, 0.6, 0.4))
+        trials = 100_000
+        residues, counts = sample_endpoints(params, 1, trials, seed=0)
+        assert set(residues.tolist()) <= {0, 1}
+        frac = counts[residues == 1].sum() / trials
+        tol = 4 * math.sqrt(0.4 * 0.6 / trials)
         assert abs(frac - 0.4) < tol
+
+    @pytest.mark.parametrize("q", [None, (1 / 6, 1 / 2, 1 / 3)],
+                             ids=["uniform", "sixth_half_third"])
+    @pytest.mark.parametrize("p", [3, 1000003, 2**61 - 1])
+    def test_matches_python_integer_oracle(self, monkeypatch, p, q):
+        # the walk reduces mod p only before int64 could overflow, the oracle on every step;
+        # blocks of 7 split the 100 trials into 15 tallies to merge
+        params = ProcessParams(p, UNIFORM_INCREMENTS if q is None else IncrementDistribution(*q))
+        for block in (process.SIMULATE_BLOCK, 7):
+            monkeypatch.setattr(process, "SIMULATE_BLOCK", block)
+            for steps in (0, 1, 62, 130):
+                residues, counts = sample_endpoints(params, steps, 100, seed=29)
+                assert residues.dtype == counts.dtype == np.int64
+                assert dict(zip(residues.tolist(), counts.tolist())) == simulate_endpoints(
+                    p, steps, 100, 29, q, block)
+                assert np.all(np.diff(residues) > 0)

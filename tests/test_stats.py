@@ -57,24 +57,24 @@ def _signs(mat):
 class TestCountPairs:
     def test_eleven_digit_example(self):
         h = count_pairs(EXAMPLE)
-        assert int(h.column_counts[2]) == 2
+        assert int(h.cells[:, 2].sum()) == 2
         # a=9 is odd with raw pair (-1, 1); a=10 is even with raw pair (1, 1)
         assert h.cells[3, 2, 1] == 1
         assert h.cells[0, 2, 0] == 1
-        assert (h.n1, h.n2, h.n3, h.n4) == (1, 0, 1, 0)
-        assert h.total == len(EXAMPLE) - 1
+        assert tuple(map(int, stats._col11_split(h.cells))) == (1, 0, 1, 0)
+        assert h.cells.sum() == len(EXAMPLE) - 1
 
     def test_all_ones(self):
         h = count_pairs([1, 1, 1])
-        assert h.n1 == 2
-        assert h.total == 2 and h.cells[0, 2].sum() == 2
+        assert stats._col11_split(h.cells)[0] == 2
+        assert h.cells.sum() == 2 and h.cells[0, 2].sum() == 2
 
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroInputError):
             count_pairs([0, 0, 0])
 
     def test_single_digit_has_no_pairs(self):
-        assert count_pairs([1]).total == 0
+        assert count_pairs([1]).cells.sum() == 0
 
     def test_matches_naive_oracle_exhaustively(self):
         mat = all_digit_matrix(7)
@@ -92,9 +92,10 @@ class TestCountPairs:
         for _ in range(30):
             digits = rng.integers(-1, 2, size=400, dtype=np.int8)
             h = count_pairs(digits)
-            assert h.total == 399
-            assert h.n2 == 0
-            assert h.n1 + h.n2 + h.n3 + h.n4 == int(h.column_counts[2])
+            n1, n2, n3, n4 = stats._col11_split(h.cells)
+            assert h.cells.sum() == 399
+            assert n2 == 0
+            assert n1 + n2 + n3 + n4 == h.cells[:, 2].sum()
 
     def test_negation_symmetry(self):
         mat = all_digit_matrix(7)
