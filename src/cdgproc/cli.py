@@ -20,7 +20,6 @@ from . import bounds as bounds_mod
 from . import distribution as dist_mod
 from .canonical import SequenceClass, canonicalize, decompose_blocks
 from .process import (
-    SIMULATE_MAX_MODULUS,
     IncrementDistribution,
     ProcessParams,
     format_digits,
@@ -326,14 +325,8 @@ def _emit_histogram(head: str, row: str, last: str, residues, counts, out: str |
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trial count {args.trials} must be at least 1")
-    if args.steps < 0:
-        raise ValueError(f"step count {args.steps} is negative")
     params = ProcessParams(args.p, _parse_dist(args.dist))
     p = params.modulus
-    if p > SIMULATE_MAX_MODULUS:
-        raise ValueError(f"modulus {p} exceeds the int64 simulation limit")
     cost = (args.steps + _TRIAL_UNITS) * (args.trials + _STEP_UNITS)
     _check_cost("simulate", cost, MAX_SIMULATE_COST, "reduce --trials or --steps")
     residues, counts = sample_endpoints(params, args.steps, args.trials, args.seed)

@@ -238,9 +238,15 @@ def sample_endpoints(params: ProcessParams, steps: int, trials: int, seed) -> tu
 
     Block b of SIMULATE_BLOCK trials draws from substream(SeedSequence(seed), b), per
     step int8 integers(-1, 2) under the uniform law, else choice over (-1, 0, 1), so
-    the memory does not grow with `trials`.  The caller checks steps >= 0,
-    trials >= 1 and modulus <= SIMULATE_MAX_MODULUS.
+    the memory does not grow with `trials`.  Raises ValueError unless trials >= 1,
+    steps >= 0 and modulus <= SIMULATE_MAX_MODULUS, checked in that order.
     """
+    if trials < 1:
+        raise ValueError(f"trial count {trials} must be at least 1")
+    if steps < 0:
+        raise ValueError(f"step count {steps} is negative")
+    if params.modulus > SIMULATE_MAX_MODULUS:
+        raise ValueError(f"modulus {params.modulus} exceeds the int64 simulation limit")
     root = np.random.SeedSequence(seed)
     residues = counts = np.zeros(0, dtype=np.int64)
     for lo in range(0, trials, SIMULATE_BLOCK):

@@ -6,7 +6,7 @@ additionally split by the parity of a.  This module counts those cells for
 single strings, exactly over every first-1 string of small length (one
 contiguous range of the base-3 enumeration), and by seeded Monte Carlo for
 large lengths; it also measures the block-pattern events behind the pair
-counts and the concentration of the number of +1 increments.
+counts.
 
 Monte Carlo draws one substream (process.substream, also the seed rule of
 the chain's sampler process.sample_endpoints) per block of about 2^16 digits
@@ -41,16 +41,17 @@ from .canonical import (
     _ROW_LUT,
     _SIGN_CLASS,
 )
-from .process import IncrementDistribution, as_digit_array, substream
+from .process import as_digit_array, substream
 
 __all__ = [
     "AllZeroInputError",
     "BlockEventReport",
+    "EVENT_CLASS_LENGTH",
+    "EVENT_CLASS_TRIALS",
     "EXHAUSTIVE_MAX_N",
     "FrequencyReport",
     "MAX_MC_COST",
     "MAX_MC_LENGTH",
-    "OnesCountReport",
     "PairHistogram",
     "TooLargeError",
     "class_probability",
@@ -58,7 +59,6 @@ __all__ = [
     "event_probabilities",
     "exhaustive_expectations",
     "monte_carlo_frequencies",
-    "ones_count_statistics",
 ]
 
 #: exhaustive enumeration bound; 3^14 strings is the practical ceiling
@@ -78,6 +78,10 @@ MAX_MC_LENGTH = 1 << 24
 _BLOCK_DIGITS = 1 << 16
 #: a chunk of either mode holds at most this many MAX_MC_COST units (or one block or row)
 _CHUNK_UNITS = 1 << 20
+#: event_probabilities' empirical class histogram counts this many fresh strings
+EVENT_CLASS_TRIALS = 100_000
+#: the length of those strings, whose exact class probability is reported beside them
+EVENT_CLASS_LENGTH = 10
 
 # cell code ((row * 4) + col) * 2 at [(b_prev + 1) * 12 + (b_cur + 1) * 4 + bt_prev * 2 + bt_cur]
 _CODE_LUT = ((_ROW_LUT[:, :, None, None] * 4 + _COL_LUT) * 2).astype(np.uint8).ravel()
@@ -164,8 +168,9 @@ class FrequencyReport:
     """Mean cell frequencies (count / n) over many strings.
 
     counts holds summed integer cell counts over all strings used; freq_mean
-    is the per-string mean of count/n; freq_stderr is the standard error over
-    strings (None in exhaustive mode, where the mean is exact).
+    is the per-string mean of count/n, read from counts; freq_stderr is the
+    standard error over strings (None in exhaustive mode, where the mean is
+    exact).
     """
 
     n: int
@@ -173,8 +178,11 @@ class FrequencyReport:
     conditioning: str
     trials: int
     counts: np.ndarray
-    freq_mean: np.ndarray
     freq_stderr: np.ndarray | None
+
+    @property
+    def freq_mean(self) -> np.ndarray:
+        return self.counts / (self.trials * self.n)
 
     @property
     def combined_freq(self) -> np.ndarray:
@@ -198,6 +206,7 @@ class FrequencyReport:
         )
 
     def to_dict(self) -> dict:
+        mean = self.freq_mean
         cells = {}
         for r, rlabel in enumerate(ROW_LABELS):
             for c, clabel in enumerate(COL_LABELS):
@@ -209,7 +218,7 @@ class FrequencyReport:
                     )
                     cells[f"{rlabel}|{clabel}|{plabel}"] = {
                         "count": int(self.counts[r, c, par]),
-                        "frequency": float(self.freq_mean[r, c, par]),
+                        "frequency": float(mean[r, c, par]),
                         "stderr": err,
                     }
         combined = {}
@@ -217,11 +226,10 @@ class FrequencyReport:
             for c, clabel in enumerate(COL_LABELS):
                 combined[f"{rlabel}|{clabel}"] = {
                     "count": int(self.counts[r, c].sum()),
-                    "frequency": float(self.freq_mean[r, c].sum()),
+                    "frequency": float(mean[r, c].sum()),
                     "limit": float(TABLE_LIMITS[r, c]),
                 }
-        even11, odd11 = self.col11_parity_freq()
-        n1, n2, n3, n4 = _col11_split(self.freq_mean)
+        n1, n2, n3, n4 = _col11_split(mean)
         return {
             "n": self.n,
             "mode": self.mode,
@@ -234,9 +242,9 @@ class FrequencyReport:
                 "n2": float(n2),
                 "n3": float(n3),
                 "n4": float(n4),
-                "column_sums": [float(x) for x in self.column_sums],
-                "col11_even": even11,
-                "col11_odd": odd11,
+                "column_sums": [float(x) for x in mean.sum(axis=(0, 2))],
+                "col11_even": float(mean[:, 2, 0].sum()),
+                "col11_odd": float(mean[:, 2, 1].sum()),
             },
         }
 
@@ -305,7 +313,6 @@ def exhaustive_expectations(
         conditioning=sequence_class.value,
         trials=used,
         counts=counts,
-        freq_mean=counts / (used * n),
         freq_stderr=None,
     )
 
@@ -375,7 +382,6 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
         conditioning="first_one (first_minus_one negated and pooled)",
         trials=used,
         counts=s1.reshape(6, 4, 2),
-        freq_mean=(s1 / (used * n)).reshape(6, 4, 2),
         freq_stderr=freq_stderr.reshape(6, 4, 2),
     )
 
@@ -411,22 +417,19 @@ class BlockEventReport:
     class_prob_exact: float
 
 
-def event_probabilities(
-    horizon: int, trials: int, seed, class_length: int = 10, class_trials: int = 100_000
-) -> BlockEventReport:
+def event_probabilities(horizon: int, trials: int, seed) -> BlockEventReport:
     """Measure the two block-pair events over trials x horizon block pairs.
 
     Per trial, an i.i.d. digit stream is drawn until it contains horizon + 1
     complete blocks (a block is complete once the next 1 appears); events are
     evaluated on consecutive complete blocks.  The exact first-1 class
-    probability for length class_length is reported next to an empirical
-    class histogram over class_trials fresh strings.  Trial t draws from
-    substream t of the seed, the class strings from substream `trials`.
+    probability for length EVENT_CLASS_LENGTH is reported next to an
+    empirical class histogram over EVENT_CLASS_TRIALS fresh strings.  Trial t
+    draws from substream t of the seed, the class strings from substream
+    `trials`.
     """
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be at least 1")
-    if class_length < 1 or class_trials < 1:
-        raise ValueError("class_length and class_trials must be at least 1")
 
     root = np.random.SeedSequence(seed)
     need_ones = horizon + 2
@@ -456,7 +459,8 @@ def event_probabilities(
         return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
 
     class_rng = substream(root, trials)
-    mat = class_rng.integers(-1, 2, size=(class_trials, class_length), dtype=np.int8)
+    shape = (EVENT_CLASS_TRIALS, EVENT_CLASS_LENGTH)
+    mat = class_rng.integers(-1, 2, size=shape, dtype=np.int8)
     sign = _first_nonzero_sign(mat)
     return BlockEventReport(
         horizon=horizon,
@@ -466,58 +470,10 @@ def event_probabilities(
         single_then_clean_stderr=_stderr(single_freqs),
         minus_then_clean_freq=float(minus_freqs.mean()),
         minus_then_clean_stderr=_stderr(minus_freqs),
-        class_length=class_length,
-        class_trials=class_trials,
+        class_length=EVENT_CLASS_LENGTH,
+        class_trials=EVENT_CLASS_TRIALS,
         class_freq_first_one=float((sign == 1).mean()),
         class_freq_first_minus_one=float((sign == -1).mean()),
         class_freq_all_zero=float((sign == 0).mean()),
-        class_prob_exact=class_probability(class_length),
-    )
-
-
-@dataclass(frozen=True)
-class OnesCountReport:
-    """Concentration summary of the number of +1 increments in n draws."""
-
-    n: int
-    trials: int
-    eps: float
-    q_plus1: float
-    mean: float
-    sd: float
-    min: int
-    max: int
-    band_low: float
-    band_high: float
-    frac_within: float
-
-
-def ones_count_statistics(
-    dist: IncrementDistribution, n: int, trials: int, seed, eps: float
-) -> OnesCountReport:
-    """Empirical distribution of the +1 count and its concentration band.
-
-    The count of +1 digits in n i.i.d. draws is Binomial(n, q_plus1), so it
-    is sampled directly.  frac_within is the fraction of trials strictly
-    inside ((q_plus1 - eps) n, (q_plus1 + eps) n).
-    """
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be at least 1")
-    if eps <= 0:
-        raise ValueError(f"eps {eps} must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = rng.binomial(n, dist.q_plus1, size=trials)
-    lo, hi = (dist.q_plus1 - eps) * n, (dist.q_plus1 + eps) * n
-    return OnesCountReport(
-        n=n,
-        trials=trials,
-        eps=eps,
-        q_plus1=dist.q_plus1,
-        mean=float(counts.mean()),
-        sd=float(counts.std(ddof=1)) if trials > 1 else 0.0,
-        min=int(counts.min()),
-        max=int(counts.max()),
-        band_low=lo,
-        band_high=hi,
-        frac_within=float(((counts > lo) & (counts < hi)).mean()),
+        class_prob_exact=class_probability(EVENT_CLASS_LENGTH),
     )

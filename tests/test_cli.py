@@ -827,7 +827,7 @@ class TestEntryPoint:
 
 
 class TestReadme:
-    """The README's Command line and Output formats sections keep up with the parser."""
+    """The README's Command line, Output formats and Library sections keep up with the code."""
 
     @staticmethod
     def section(title):
@@ -850,3 +850,19 @@ class TestReadme:
         for title in ("Command line", "Output formats"):
             named = set(re.findall(r"--[a-z][a-z-]*", self.section(title)))
             assert named and named <= options, named - options
+
+    def test_library_names_exist(self):
+        # a bare name or a call in a `cdgproc.<mod>` bullet must be public in that module;
+        # the paragraph after the bullet list is not read
+        modules = {m.__name__: m for m in (bounds, canonical, cli, distribution, process, stats)}
+        allowed = {"SeedSequence", "mass", "bincount"} | {m.split(".")[1] for m in modules}
+        listing = next(par for par in self.section("Library").split("\n\n")
+                       if par.startswith("- "))
+        bullets = listing[2:].split("\n- ")
+        assert len(bullets) == 5
+        for bullet in bullets:
+            module = modules[re.match(r"`(cdgproc\.\w+)`", bullet).group(1)]
+            names = {m.group(1) for token in re.findall(r"`([^`]+)`", bullet)
+                     if (m := re.fullmatch(r"([A-Za-z_]\w*)(?:\(.*\))?", token, re.S))}
+            missing = names - set(module.__all__) - allowed
+            assert not missing, (module.__name__, missing)

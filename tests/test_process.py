@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdgproc import process
+from cdgproc.cli import main
 from cdgproc.process import (
     BadDigitError,
     BadDistributionError,
@@ -128,6 +129,25 @@ class TestSubstream:
             expected = np.random.default_rng(child).integers(0, 1 << 62, size=4)
             got = substream(np.random.SeedSequence(seed), b).integers(0, 1 << 62, size=4)
             np.testing.assert_array_equal(got, expected)
+
+
+class TestSampleEndpointsDomain:
+    """The sampler refuses what `cdg simulate` refuses, with the message the CLI prints."""
+
+    @pytest.mark.parametrize("p, steps, trials, message", [
+        (2**63 - 25, 130, 10, f"modulus {2**63 - 25} exceeds the int64 simulation limit"),
+        (2**61 + 1, 1, 1, f"modulus {2**61 + 1} exceeds the int64 simulation limit"),
+        (101, -3, 10, "step count -3 is negative"),
+        (101, 10, 0, "trial count 0 must be at least 1"),
+        (101, 10, -4, "trial count -4 must be at least 1"),
+    ])
+    def test_refused_like_the_cli(self, capsys, p, steps, trials, message):
+        with pytest.raises(ValueError) as exc:
+            sample_endpoints(ProcessParams(p), steps, trials, 0)
+        assert str(exc.value) == message
+        code = main(["simulate", f"--p={p}", f"--steps={steps}", f"--trials={trials}"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestSampleTrajectory:

@@ -7,16 +7,15 @@ import pytest
 
 from cdgproc import stats
 from cdgproc.canonical import SequenceClass, TABLE_LIMITS, _canonicalize_matrix, pair_cell
-from cdgproc.process import IncrementDistribution
 from cdgproc.stats import (
     AllZeroInputError,
+    BlockEventReport,
     TooLargeError,
     class_probability,
     count_pairs,
     event_probabilities,
     exhaustive_expectations,
     monte_carlo_frequencies,
-    ones_count_statistics,
 )
 from oracles import (
     all_digit_matrix,
@@ -415,29 +414,20 @@ class TestEventProbabilities:
         with pytest.raises(ValueError):
             event_probabilities(0, 10, seed=1)
 
-
-class TestOnesCount:
-    def test_always_one(self):
-        rep = ones_count_statistics(IncrementDistribution(0, 0, 1), 100, 500, seed=1, eps=0.01)
-        assert rep.min == rep.max == 100 and rep.frac_within == 1.0
-
-    def test_never_one(self):
-        rep = ones_count_statistics(IncrementDistribution(0, 1, 0), 100, 500, seed=1, eps=0.01)
-        assert rep.min == rep.max == 0 and rep.frac_within == 1.0
-
-    def test_biased_concentration(self):
-        dist = IncrementDistribution(0.0, 0.6, 0.4)
-        rep = ones_count_statistics(dist, 10_000, 2000, seed=6, eps=0.02)
-        assert rep.frac_within >= 0.999
-        assert rep.mean / rep.n == pytest.approx(0.4, abs=0.005)
-
-    def test_band_edges_are_exclusive(self):
-        # band (4, 6) at n=10, q1=0.5: only exact count 5 is inside
-        dist = IncrementDistribution(0.25, 0.25, 0.5)
-        rep = ones_count_statistics(dist, 10, 4000, seed=2, eps=0.1)
-        p_five = 252 / 1024  # Binomial(10, 1/2) at 5
-        assert abs(rep.frac_within - p_five) < 0.03
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ones_count_statistics(IncrementDistribution(0, 0.6, 0.4), 10, 5, seed=0, eps=0.0)
+    def test_pinned_report(self):
+        # every field at one small input, so that no edit moves the seeded report silently
+        assert event_probabilities(30, 200, 7) == BlockEventReport(
+            horizon=30,
+            trials=200,
+            blocks_observed=6200,
+            single_then_clean_freq=0.16116666666666668,
+            single_then_clean_stderr=0.005293071965497679,
+            minus_then_clean_freq=0.17266666666666666,
+            minus_then_clean_stderr=0.004029206604611702,
+            class_length=10,
+            class_trials=100000,
+            class_freq_first_one=0.49735,
+            class_freq_first_minus_one=0.50264,
+            class_freq_all_zero=1e-05,
+            class_prob_exact=0.4999915324560958,
+        )
