@@ -152,13 +152,20 @@ def _scan_cost(p: int, steps: int | None) -> int:
     return (_scan_cap(p, steps) + 1) * (p + _STEP_UNITS)
 
 
+def _parse_modulus(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"--primes entry {entry!r} is not an integer") from None
+
+
 def _scan_moduli(args) -> list[int]:
     """The moduli to scan; the cost, then the guard, are checked before any is tested.
 
     A range is refused when its largest odd candidate exceeds the guard.
     """
     if args.primes:
-        moduli = [ProcessParams(int(p)).modulus for p in args.primes.split(",")]
+        moduli = [ProcessParams(_parse_modulus(p)).modulus for p in args.primes.split(",")]
         cost, largest = sum(_scan_cost(p, args.steps) for p in moduli), max(moduli)
     elif args.p_min is None or args.p_max is None:
         raise ValueError("scan needs either --primes or both --p-min and --p-max")
@@ -190,7 +197,7 @@ def _scan_row(p: int, dist: IncrementDistribution, cap: int | None) -> dict:
     for n, mass in dist_mod.iter_evolve(params, limit):
         if n == 0:  # the start is never a crossing
             continue
-        tvd = dist_mod.tvd_uniform(mass, p)
+        tvd = dist_mod.tvd_uniform(mass, p, mirrored=dist.is_symmetric)
         for t in SCAN_THRESHOLDS:
             if crossings[t] is None and tvd < t:
                 crossings[t] = n

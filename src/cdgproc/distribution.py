@@ -9,10 +9,15 @@ to float rounding, and the uniform vector is stationary.
 after k steps is an integer in [-w_k, w_k], w_0 = 0, w_{k+1} = 2*w_k + 1 (the
 trivial support bound), so while the next window has fewer than p values only
 that window is evolved; it is embedded into the dense vector once, at the switch.
-Windows and dense vectors live in prefixes of two p-length buffers that the
-steps ping-pong between.  A step reads the old masses and writes the new ones
-`_STEP_BLOCK` output pairs at a time through one small block buffer, so each
-block's work stays in cache.
+Under a symmetric law (q+ = q-) x and -x have the same mass at every step, so
+the walk holds only the integers 0..w, then the residues 0..(p - 1)/2: the
+mirrored half.  The trace functionals read it with `mirrored=True`, which
+counts every mass but residue 0's twice, and `evolve` unfolds it into the
+dense vector.  Windows and dense vectors live in prefixes of two buffers of
+the dense length, p or (p + 1)/2, that the steps ping-pong between, so under
+a symmetric law the walk holds one p-vector's worth in all.  A step reads the
+old masses and writes the new ones `_STEP_BLOCK` output pairs at a time
+through one small block buffer, so each block's work stays in cache.
 """
 
 from __future__ import annotations
@@ -88,60 +93,77 @@ def _step_buffer() -> np.ndarray:
 
 
 def _apply_step(
-    dist: np.ndarray, params: ProcessParams, out: np.ndarray, scratch: np.ndarray
+    dist: np.ndarray, params: ProcessParams, out: np.ndarray, scratch: np.ndarray,
+    mirrored: bool = False,
 ) -> np.ndarray:
     """One step of `dist` written into `out`, which is returned; `dist` is only read.
 
-    new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod len(out)), where d
-    lays the old masses out in the order the step sends them:
+    new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod p), where d lays
+    the old masses out in the order the step sends them:
     - a `dist` shorter than `out` is a window: it holds the integers -w..w and
       `out` the integers -(2*w + 1)..(2*w + 1), so d[2*i + 1] = dist[i] and the
       even d are 0;
     - otherwise both are dense, and with h = (p + 1)/2, d[2*j] = dist[j] and
       d[2*j + 1] = dist[h + j].
+    A `mirrored` `dist` holds the masses of 0..w (a window, `out` those of
+    0..2*w + 1, and d[2*i] = dist[i], the odd d 0) or of residues 0..h - 1
+    (dense, `out` the same residues), and x and -x have the same mass.  Dense,
+    d[2*j] = dist[j], d[2*j + 1] = dist[h - 1 - j] and d[-1] = dist[h - 1].
+    Each output is then added in the order of the full step, so for a law
+    with q+ = q- the masses are those the full step gives these residues.
     d is never built whole.  For each block of `_STEP_BLOCK` output pairs
     (new[2*j], new[2*j + 1]), the d[2*j - 1 .. 2*k] it reads are spread into
-    `scratch` from the two halves of `dist`, and the three products are added
-    straight into that block of `out`; the last output, new[len(out) - 1], is
-    one scalar sum.  `scratch` holds 4 * `_STEP_BLOCK` + 2 values.
+    `scratch`, and the three products are added straight into that block of
+    `out`; the last one or two outputs are scalar sums.  `scratch` holds
+    4 * `_STEP_BLOCK` + 2 values.
     """
     q = params.increments
     d, t = scratch[: 2 * _STEP_BLOCK + 2], scratch[2 * _STEP_BLOCK + 2 :]
-    window = out.size != dist.size
-    if window:
-        pairs, last = dist.size, (0.0, dist[-1], 0.0)
-    else:  # d[2*j] = low[j] and d[2*j - 1] = high[j]
+    zeros = np.broadcast_to(0.0, dist.size + 1)
+    # even[i] = d[2*i], odd[i] = d[2*i + 1] and first = d[-1]; each tail entry is
+    # (d[y], d[y - 1], d[y + 1]) of an output y past the pairs
+    if out.size != dist.size and mirrored:
+        even, odd, first, pairs = dist, zeros, 0.0, dist.size - 1
+        tail = [(dist[-1], 0.0, 0.0), (0.0, dist[-1], 0.0)]
+    elif out.size != dist.size:
+        even, odd, first, pairs = zeros, dist, 0.0, dist.size
+        tail = [(0.0, dist[-1], 0.0)]
+    elif mirrored:
+        even, odd, first, pairs = dist, dist[::-1], dist[-1], dist.size // 2
+        tail = [(dist[pairs], dist[pairs + 1], dist[pairs])] if dist.size % 2 else []
+    else:
         h = (out.size + 1) // 2
-        low, high = dist[:h], dist[h - 1 :]
-        pairs, last = h - 1, (low[-1], high[-1], low[0])
+        even, odd, first, pairs = dist[:h], dist[h:], dist[h - 1], h - 1
+        tail = [(even[-1], odd[-1], even[0])]
     for j in range(0, pairs, _STEP_BLOCK):
         k = min(j + _STEP_BLOCK, pairs)
         block = d[: 2 * (k - j) + 2]  # d[2*j - 1 .. 2*k]
-        if window:
-            block[1::2] = 0.0
-            block[2::2] = dist[j:k]
-            block[0] = dist[j - 1] if j else 0.0
-        else:
-            block[0::2], block[1::2] = high[j : k + 1], low[j : k + 1]
+        block[0] = odd[j - 1] if j else first
+        block[1::2], block[2::2] = even[j : k + 1], odd[j:k]
         new, tmp = out[2 * j : 2 * k], t[: 2 * (k - j)]
         np.multiply(block[1:-1], q.q_zero, out=new)
         new += np.multiply(block[:-2], q.q_plus1, out=tmp)
         new += np.multiply(block[2:], q.q_minus1, out=tmp)
-    here, before, after = last
-    out[-1] = q.q_zero * here + q.q_plus1 * before + q.q_minus1 * after
+    for y, (here, before, after) in enumerate(tail, 2 * pairs):
+        out[y] = q.q_zero * here + q.q_plus1 * before + q.q_minus1 * after
     return out
 
 
-def _embed(mass: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+def _embed(
+    mass: np.ndarray, p: int, out: np.ndarray | None = None, mirrored: bool = False
+) -> np.ndarray:
     """The dense vector of a window (integers -w..w), written into `out` if given.
 
-    A dense `mass` is returned as is.
+    A `mirrored` `mass` holds the masses of 0..m - 1, a window or the dense
+    half, and those of -(m - 1)..-1 are the same.  A dense `mass` is returned
+    as is.
     """
     if mass.size == p:
         return mass
     w = mass.size // 2
+    low, high = (mass, mass[:0:-1]) if mirrored else (mass[w:], mass[:w])
     dense = np.empty(p) if out is None else out
-    dense[: w + 1], dense[w + 1 : p - w], dense[p - w :] = mass[w:], 0.0, mass[:w]
+    dense[: low.size], dense[low.size : p - high.size], dense[p - high.size :] = low, 0.0, high
     return dense
 
 
@@ -150,24 +172,34 @@ def iter_evolve(params: ProcessParams, n: int) -> Iterator[tuple[int, np.ndarray
 
     A `mass` shorter than p holds the integers -w..w in order (the window
     phase); every other residue has mass 0, which the functionals allow for
-    (pass p to `tvd_uniform`).  Otherwise `mass` is the dense vector.  Either
-    way it is a view of one of two p-length buffers, which the next step may
-    overwrite: copy it to keep it.  These two buffers and one block buffer are
-    all the walk allocates.
+    (pass p to `tvd_uniform`).  Otherwise `mass` is the dense vector.  Under a
+    symmetric law (q+ = q-) x and -x have the same mass at every step, and
+    `mass` holds only the integers 0..w, or the residues 0..(p - 1)/2: pass
+    `mirrored=True` to the functionals; `evolve` returns the whole vector.
+    Either way `mass` is a view of one of two buffers of its dense length,
+    which the next step may overwrite: copy it to keep it.  These two buffers
+    and one block buffer are all the walk allocates.
     """
     if n < 0:
         raise ValueError(f"step count {n} is negative")
     p = params.modulus
     check_modulus(p)
-    held, free, scratch = np.empty(p), np.empty(p), _step_buffer()
+    mirrored = params.increments.is_symmetric
+    dense = (p + 1) // 2 if mirrored else p
+    held, free, scratch = np.empty(dense), np.empty(dense), _step_buffer()
     mass = held[:1]
     mass[0] = 1.0
     yield 0, mass
     for k in range(1, n + 1):
-        size = 2 * mass.size + 1
-        if mass.size < p <= size:  # the switch: the next window would not fit
-            mass, held, free = _embed(mass, p, free), free, held
-        mass, held, free = _apply_step(mass, params, free[: min(size, p)], scratch), free, held
+        size = 2 * mass.size + (0 if mirrored else 1)
+        if mass.size < dense <= size:  # the switch: the next window would not fit
+            if mirrored:  # the integers 0..w are the residues 0..w
+                held[mass.size :] = 0.0
+                mass = held
+            else:
+                mass, held, free = _embed(mass, p, free), free, held
+        out = free[: min(size, dense)]
+        mass, held, free = _apply_step(mass, params, out, scratch, mirrored), free, held
         yield k, mass
 
 
@@ -186,7 +218,7 @@ def evolve(params: ProcessParams, n: int) -> np.ndarray:
     """Distribution after n steps from the point mass at 0."""
     for _, mass in iter_evolve(params, n):
         pass
-    return _embed(mass, params.modulus)
+    return _embed(mass, params.modulus, mirrored=params.increments.is_symmetric)
 
 
 @dataclass(frozen=True)
@@ -206,11 +238,13 @@ def evolve_with_trace(params: ProcessParams, n: int, delta: float = 0.01) -> lis
     The typical-set column uses mass 1 - delta.  Only the rows are returned:
     `evolve` gives the final distribution.
     """
-    p = params.modulus
+    p, mirrored = params.modulus, params.increments.is_symmetric
     rows = []
     for k, mass in iter_evolve(params, n):
-        rows.append(TraceRow(k, tvd_uniform(mass, p), entropy_bits(mass), support_size(mass),
-                             typical_set_size(mass, delta)))
+        rows.append(TraceRow(k, tvd_uniform(mass, p, mirrored=mirrored),
+                             entropy_bits(mass, mirrored=mirrored),
+                             support_size(mass, mirrored=mirrored),
+                             typical_set_size(mass, delta, mirrored=mirrored)))
     return rows
 
 
@@ -232,28 +266,43 @@ def _fold(dist: np.ndarray, term, combine=operator.add, dtype=np.float64):
     return total
 
 
-def tvd_uniform(dist: np.ndarray, p: int | None = None) -> float:
+def _mirror_fold(dist: np.ndarray, term, mirrored: bool, combine=operator.add, dtype=np.float64):
+    """`_fold` of `dist`, in which a `mirrored` vector counts every value but the first twice."""
+    if not mirrored:
+        return _fold(dist, term, combine, dtype)
+    rest = _fold(dist[1:], term, combine, dtype)
+    return combine(combine(rest, rest), term(dist[:1], None))
+
+
+def _full_size(dist: np.ndarray, mirrored: bool) -> int:
+    """The values a vector stands for: a mirrored one of m values holds 2*m - 1."""
+    return 2 * dist.size - 1 if mirrored else dist.size
+
+
+def tvd_uniform(dist: np.ndarray, p: int | None = None, *, mirrored: bool = False) -> float:
     """Total variation distance from uniform: 0.5 * sum |mass(s) - 1/p|.
 
-    `p` defaults to len(dist); the p - len(dist) residues missing from `dist`
-    have mass 0.  The sum runs over blocks of `_BLOCK` values.
+    `p` defaults to the values `dist` stands for; the residues missing from it
+    have mass 0.  A `mirrored` `dist` holds x = 0, 1, ... of a vector in which
+    x and -x have the same mass.  The sum runs over blocks of `_BLOCK` values.
     """
     dist = np.asarray(dist, dtype=np.float64)
-    p = dist.size if p is None else p
+    size = _full_size(dist, mirrored)
+    p = size if p is None else p
 
     def term(x, buf):
         dev = np.subtract(x, 1.0 / p, out=buf)
         return np.abs(dev, out=dev).sum()
 
-    return float(0.5 * (_fold(dist, term) + (p - dist.size) / p))
+    return float(0.5 * (_mirror_fold(dist, term, mirrored) + (p - size) / p))
 
 
-def entropy_bits(dist: np.ndarray) -> float:
+def entropy_bits(dist: np.ndarray, *, mirrored: bool = False) -> float:
     """Shannon entropy in bits of nonnegative masses, with 0*log(0) = 0.
 
     Each mass x adds x * log2(max(x, smallest subnormal)): that is x * log2(x)
-    for x > 0 and 0 for x = 0, with no mask.  The sum runs over blocks of
-    `_BLOCK` values.
+    for x > 0 and 0 for x = 0, with no mask.  A `mirrored` `dist` counts every
+    mass but the first twice.  The sum runs over blocks of `_BLOCK` values.
     """
     dist = np.asarray(dist, dtype=np.float64)
 
@@ -263,13 +312,13 @@ def entropy_bits(dist: np.ndarray) -> float:
         return np.multiply(logs, x, out=logs).sum()
 
     # + 0.0 normalizes the -0.0 a point mass would produce
-    return float(-_fold(dist, term) + 0.0)
+    return float(-_mirror_fold(dist, term, mirrored) + 0.0)
 
 
-def support_size(dist: np.ndarray) -> int:
-    """Number of residues with positive mass."""
+def support_size(dist: np.ndarray, *, mirrored: bool = False) -> int:
+    """Number of residues with positive mass; a `mirrored` `dist` counts all but the first twice."""
     dist = np.asarray(dist, dtype=np.float64)
-    return int(np.count_nonzero(dist > 0))
+    return int(_mirror_fold(dist, lambda x, buf: np.count_nonzero(x > 0), mirrored))
 
 
 def _running_sums(above: float, masses: np.ndarray) -> np.ndarray:
@@ -283,11 +332,13 @@ def _running_sums(above: float, masses: np.ndarray) -> np.ndarray:
     return np.cumsum(cum)
 
 
-def typical_set_size(dist: np.ndarray, delta: float) -> int:
+def typical_set_size(dist: np.ndarray, delta: float, *, mirrored: bool = False) -> int:
     """Smallest k such that the k largest masses sum to at least 1 - delta.
 
     Masses are nonnegative (-0.0 counts as 0); if all of them sum to less than
-    1 - delta the answer is len(dist).  Up to `_SORT_MAX` values the masses
+    1 - delta the answer is their number.  A `mirrored` `dist` of m masses
+    stands for 2*m - 1 of them, every mass but the first twice, both in the
+    histogram and in the sorted bucket.  Up to `_SORT_MAX` values the masses
     are sorted.  Longer vectors are selected by a histogram: nonnegative
     doubles order like their int64 bit patterns, so a mass falls in the bucket
     given by the top bits of (bits - lo), lo the smallest positive pattern
@@ -303,9 +354,9 @@ def typical_set_size(dist: np.ndarray, delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta} must be in (0, 1)")
     dist = np.asarray(dist, dtype=np.float64)
-    n, target = dist.size, 1.0 - delta
+    n, target = _full_size(dist, mirrored), 1.0 - delta
     if n <= _SORT_MAX:
-        cum = _running_sums(0.0, dist)
+        cum = _running_sums(0.0, np.concatenate((dist, dist[1:])) if mirrored else dist)
         return min(int(np.searchsorted(cum, target, side="left")), n - 1) + 1
     hi = int(dist.view(np.int64).max())  # -0.0 is INT64_MIN, below every positive pattern
     if hi <= 0:  # no positive mass
@@ -322,27 +373,30 @@ def typical_set_size(dist: np.ndarray, delta: float) -> int:
         idx >>= shift
         return np.bincount(idx, weights=x, minlength=buckets)
 
-    hist = _fold(dist, tally, operator.iadd, np.int64)
+    hist = _mirror_fold(dist, tally, mirrored, operator.iadd, np.int64)
     from_top = np.cumsum(hist[::-1])
     c = max(buckets - 1 - int(np.searchsorted(from_top, target, side="left")), 0)
     above = float(from_top[buckets - 2 - c]) if c < buckets - 1 else 0.0
     ceiling = lo + ((c + 1) << shift)  # the smallest pattern above bucket c
 
-    def split(x, buf):  # bucket c's masses of x go to parts; returns the count above it
+    def split(x, buf):  # the count above bucket c, and a list of its masses
         b = x.view(np.int64)
         inside = np.greater_equal(b, floor, out=buf)
         inside &= b < ceiling
-        parts.append(x[inside])
-        return np.count_nonzero(b >= ceiling)
+        return np.count_nonzero(b >= ceiling), [x[inside]]
+
+    def gather(a, b):  # counts add, lists of masses join
+        parts = a[1]
+        parts += b[1]
+        return a[0] + b[0], parts
 
     while True:
         floor = lo + (c << shift) if c else np.iinfo(np.int64).min
-        parts = []
-        count = int(_fold(dist, split, dtype=bool))
+        count, parts = _mirror_fold(dist, split, mirrored, gather, bool)
         cum = _running_sums(above, np.concatenate(parts))
         k = int(np.searchsorted(cum, target, side="left"))
         if k < cum.size:
-            return count + k + 1
+            return int(count) + k + 1
         above = float(cum[-1])
         # the buckets between are empty, and zeros add nothing
         lower = np.flatnonzero(hist[:c] > 0.0)

@@ -92,6 +92,11 @@ class IncrementDistribution:
         """True when all three probabilities equal 1/3 (up to 1e-12)."""
         return all(abs(q - 1.0 / 3.0) <= 1e-12 for q in self.as_tuple())
 
+    @property
+    def is_symmetric(self) -> bool:
+        """True when P(b=-1) == P(b=+1) exactly, so that x and -x keep equal masses."""
+        return self.q_minus1 == self.q_plus1
+
 
 UNIFORM_INCREMENTS = IncrementDistribution(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
@@ -217,7 +222,17 @@ def _block_tally(rng, params: ProcessParams, steps: int, trials: int):
         x += b
         bound = 2 * bound + 1
     np.remainder(x, p, out=x)
-    return np.unique(x, return_counts=True)
+    return _tally(x)
+
+
+def _tally(x: np.ndarray):
+    """np.unique(x, return_counts=True), sorting x in place instead of a copy of it."""
+    x.sort()
+    change = np.empty(x.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(x[1:], x[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    return x[change], np.diff(starts, append=x.size)
 
 
 def _merge_tally(residues, counts, new, new_counts):

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's production code paths:
 values come from Horner evaluation, standard forms from big-integer binary
 expansion, distributions from direct enumeration of all increment strings,
 pair cells from a hand-written classification, trace functionals from a full
-sort and whole-vector numpy formulas, and Fourier coefficients of the exact law
-from the Chung-Diaconis-Graham product.
+sort and whole-vector numpy formulas, Fourier coefficients of the exact law
+from the Chung-Diaconis-Graham product, and whole vectors of mirrored halves
+from an index map.
 """
 
 from __future__ import annotations
@@ -232,4 +233,24 @@ def fourier_product(q, n: int, p: int, xi: int) -> complex:
     for j in range(n):
         theta = 2.0 * math.pi * (pow(2, j, p) * xi % p) / p
         out *= q_zero + q_plus * cmath.exp(1j * theta) + q_minus * cmath.exp(-1j * theta)
+    return out
+
+
+def unfold_mirrored(half, p: int, dense: bool = False) -> np.ndarray:
+    """The vector a mirrored half stands for, in which x and -x have the same mass.
+
+    (p + 1)/2 values are the residues 0..(p - 1)/2 and give the dense p-vector,
+    read back by index min(x, p - x).  Fewer values are the integers 0..w and
+    give the window of -w..w, or with `dense` its p-vector.
+    """
+    half = np.asarray(half, dtype=np.float64)
+    if half.size == (p + 1) // 2:
+        x = np.arange(p)
+        return half[np.minimum(x, p - x)]
+    window = np.concatenate((half[:0:-1], half))
+    if not dense:
+        return window
+    w = half.size - 1
+    out = np.zeros(p)
+    out[np.arange(-w, w + 1) % p] = window
     return out

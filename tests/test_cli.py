@@ -234,6 +234,13 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--primes", "101", "--steps", "-1")
         assert_one_line_error(code, err)
 
+    @pytest.mark.parametrize("primes, entry", [(",101", "''"), ("1e3", "'1e3'"),
+                                               ("101,x", "'x'"), ("5,,7", "''")])
+    def test_bad_primes_entry_is_named(self, capsys, primes, entry):
+        code, out, err = run_cli(capsys, "scan", "--primes", primes)
+        assert_one_line_error(code, err)
+        assert f"--primes entry {entry} is not an integer" in err and out == ""
+
     def test_range_across_guard_refused_before_any_modulus(self, capsys, monkeypatch):
         calls = []
         original = distribution.iter_evolve

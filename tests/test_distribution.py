@@ -11,6 +11,8 @@ from cdgproc.distribution import (
     _BLOCK,
     _SORT_MAX,
     _STEP_BLOCK,
+    _apply_step,
+    _step_buffer,
     MAX_MODULUS,
     ModulusMismatchError,
     ModulusTooLargeError,
@@ -32,6 +34,7 @@ from oracles import (
     fourier_product,
     masked_entropy_bits,
     sorted_typical_set_size,
+    unfold_mirrored,
     whole_vector_tvd_uniform,
 )
 
@@ -42,6 +45,8 @@ EDGE_SIZES = (1, 2, 3, _SORT_MAX - 1, _SORT_MAX, _SORT_MAX + 1, _BLOCK, _BLOCK +
 #: moduli whose (p - 1)/2 output pairs of a step fill its blocks exactly, or miss by one
 STEP_EDGE_MODULI = (3, 2 * _STEP_BLOCK - 1, 2 * _STEP_BLOCK + 1, 2 * _STEP_BLOCK + 3,
                     4 * _STEP_BLOCK + 1, 6 * _STEP_BLOCK - 1)
+#: laws with q+ = q-, under which iter_evolve walks the mirrored half
+SYMMETRIC_LAWS = [(1 / 3, 1 / 3, 1 / 3), (0.25, 0.5, 0.25), (0.5, 0.0, 0.5)]
 
 
 class TestInitialDist:
@@ -197,15 +202,25 @@ class TestEvolve:
 class TestIterEvolve:
     def test_window_phase_then_dense(self):
         # windows hold 2^(k+1) - 1 integers while the next one has fewer than p
-        sizes = [mass.size for _, mass in iter_evolve(ProcessParams(65), 8)]
+        law = IncrementDistribution(0.2, 0.5, 0.3)
+        sizes = [mass.size for _, mass in iter_evolve(ProcessParams(65, law), 8)]
         assert sizes == [1, 3, 7, 15, 31, 63, 65, 65, 65]
-        sizes = [mass.size for _, mass in iter_evolve(ProcessParams(63), 6)]
+        sizes = [mass.size for _, mass in iter_evolve(ProcessParams(63, law), 6)]
         assert sizes == [1, 3, 7, 15, 31, 63, 63]
+        # under a symmetric law the 2^k integers 0..w, then the residues 0..(p - 1)/2
+        sizes = [mass.size for _, mass in iter_evolve(ProcessParams(65), 8)]
+        assert sizes == [1, 2, 4, 8, 16, 32, 33, 33, 33]
+        sizes = [mass.size for _, mass in iter_evolve(ProcessParams(63), 6)]
+        assert sizes == [1, 2, 4, 8, 16, 32, 32]
 
     def test_window_order_is_integer_order(self):
-        # after two steps the window holds the integers -3..3
+        # after two steps the window holds the integers -3..3, or under a symmetric law 0..3
         _, mass = list(iter_evolve(ProcessParams(101), 2))[-1]
-        np.testing.assert_allclose(mass * 9, [1, 1, 2, 1, 2, 1, 1])
+        np.testing.assert_allclose(mass * 9, [1, 2, 1, 1])
+        np.testing.assert_allclose(unfold_mirrored(mass, 101) * 9, [1, 1, 2, 1, 2, 1, 1])
+        law = IncrementDistribution(0.2, 0.5, 0.3)
+        _, mass = list(iter_evolve(ProcessParams(101, law), 2))[-1]
+        np.testing.assert_allclose(mass, [0.04, 0.1, 0.16, 0.25, 0.21, 0.15, 0.09])
 
     def test_yields_every_step(self):
         assert [k for k, _ in iter_evolve(ProcessParams(31), 12)] == list(range(13))
@@ -218,17 +233,26 @@ class TestIterEvolve:
         with pytest.raises(ModulusTooLargeError):
             next(iter_evolve(ProcessParams(2**26 + 1), 3))
 
+    @staticmethod
+    def walk_peak(params: ProcessParams) -> int:
+        tracemalloc.start()
+        try:
+            for _ in iter_evolve(params, 24):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("p", [1048577, 1048573])
     def test_allocates_two_vectors(self, p):
         # the two ping-pong buffers and one block buffer; no p-sized temporary
-        tracemalloc.start()
-        try:
-            for _ in iter_evolve(ProcessParams(p), 24):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 8 * p + 2**20
+        params = ProcessParams(p, IncrementDistribution(0.2, 0.5, 0.3))
+        assert self.walk_peak(params) <= 2 * 8 * p + 2**20
+
+    @pytest.mark.parametrize("p", [1048577, 1048573])
+    def test_symmetric_law_allocates_two_half_vectors(self, p):
+        # two buffers of (p + 1)/2 values and one block buffer
+        assert self.walk_peak(ProcessParams(p)) <= 8 * (p + 1) + 2**20
 
 
 class TestFunctionals:
@@ -423,15 +447,94 @@ class TestBlockedFunctionals:
     @pytest.mark.parametrize(
         "p, q",
         [(10007, (1 / 3, 1 / 3, 1 / 3)), (100003, (0.2, 0.5, 0.3)), (10007, (1e-300, 0.0, 1.0)),
-         (100003, (0.0, 0.5, 0.5))],
+         (100003, (0.0, 0.5, 0.5)), (100003, (0.25, 0.5, 0.25))],
     )
     def test_evolve_vectors_match_oracles(self, p, q):
+        # a symmetric law's halves are read mirrored, against the oracles on whole vectors
         params = ProcessParams(p, IncrementDistribution(*q))
+        mirrored = params.increments.is_symmetric
         for _, mass in iter_evolve(params, 24):
+            whole = unfold_mirrored(mass, p) if mirrored else mass
             for delta in (1e-300, 1e-12, 0.01, 0.3, 0.5, 0.99):
-                assert typical_set_size(mass, delta) == sorted_typical_set_size(mass, delta)
-            assert abs(tvd_uniform(mass, p) - whole_vector_tvd_uniform(mass, p)) <= 1e-12
-            assert abs(entropy_bits(mass) - masked_entropy_bits(mass)) <= 1e-12
+                assert (typical_set_size(mass, delta, mirrored=mirrored)
+                        == sorted_typical_set_size(whole, delta))
+            assert (abs(tvd_uniform(mass, p, mirrored=mirrored) - whole_vector_tvd_uniform(whole, p))
+                    <= 1e-12)
+            assert abs(entropy_bits(mass, mirrored=mirrored) - masked_entropy_bits(whole)) <= 1e-12
+            assert support_size(mass, mirrored=mirrored) == np.count_nonzero(whole > 0)
+
+
+class TestMirrored:
+    """The half walk of a symmetric law and the functionals that read its halves mirrored."""
+
+    @pytest.mark.parametrize("q", SYMMETRIC_LAWS)
+    def test_half_walk_is_the_full_kernel_on_its_residues(self, q):
+        # each half step, from the whole vector of the last half, equals the full step
+        # on residues 0..(p - 1)/2: it adds every output in the full step's order
+        for p in (5, 7, 9, 31, 33, 65, 101, 1021, *STEP_EDGE_MODULI):
+            params = ProcessParams(p, IncrementDistribution(*q))
+            before = None
+            for k, mass in iter_evolve(params, 20):
+                whole = unfold_mirrored(mass, p, dense=True)
+                if before is not None:
+                    full = step(before, params)
+                    np.testing.assert_array_equal(whole[: (p + 1) // 2], full[: (p + 1) // 2])
+                    assert np.abs(whole - full).max() <= 1e-15, (p, k)
+                before = whole
+            np.testing.assert_array_equal(evolve(params, 20), before)
+
+    @pytest.mark.parametrize("q", SYMMETRIC_LAWS)
+    def test_one_half_step_of_a_symmetric_vector(self, q):
+        # a random symmetric input, dense and as a window, across block edges
+        rng = np.random.default_rng(18)
+        for p in STEP_EDGE_MODULI:
+            params, h = ProcessParams(p, IncrementDistribution(*q)), (p + 1) // 2
+            half = rng.random(h)
+            out = _apply_step(half, params, np.empty(h), _step_buffer(), mirrored=True)
+            np.testing.assert_array_equal(out, step(unfold_mirrored(half, p), params)[:h])
+            # windows of 0..w whose step, of 0..2*w + 1, stays below (p - 1)/2
+            for m in [m for m in (1, 2, 3, _STEP_BLOCK, _STEP_BLOCK + 1, h // 2) if 2 * m < h]:
+                window = rng.random(m)
+                out = _apply_step(window, params, np.empty(2 * m), _step_buffer(), mirrored=True)
+                expected = step(unfold_mirrored(window, p, dense=True), params)
+                np.testing.assert_array_equal(out, expected[: 2 * m])
+
+    @settings(max_examples=150, deadline=None)
+    @given(masses=dyadic_masses(), data=st.data())
+    def test_functionals_equal_whole_vector_oracles(self, masses, data):
+        # masses holds x = 0..m - 1; the whole vector repeats all but the first for -x
+        whole = np.concatenate((masses[:0:-1], masses))
+        delta = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        if data.draw(st.booleans()):  # 1 - delta equal to a partial sum of the whole
+            cum = np.cumsum(np.sort(whole)[::-1])
+            tie = 1.0 - float(cum[data.draw(st.integers(0, whole.size - 1))])
+            delta = tie if 0.0 < tie < 1.0 else delta
+        assert typical_set_size(masses, delta, mirrored=True) == sorted_typical_set_size(whole, delta)
+        assert support_size(masses, mirrored=True) == np.count_nonzero(whole > 0)
+        p = whole.size + data.draw(st.integers(0, 2**20))
+        assert abs(tvd_uniform(masses, p, mirrored=True) - whole_vector_tvd_uniform(whole, p)) <= 1e-12
+        assert abs(tvd_uniform(masses, mirrored=True) - whole_vector_tvd_uniform(whole)) <= 1e-12
+        assert abs(entropy_bits(masses, mirrored=True) - masked_entropy_bits(whole)) <= 1e-12
+
+    @pytest.mark.parametrize("size", [3, _SORT_MAX // 2, 3 * _SORT_MAX, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("zero", [0.5, 0.25, 2.0**-21, 0.0, -0.0])
+    def test_ties_across_the_crossing_and_mass_at_residue_zero(self, size, zero):
+        # residue 0 holds the largest mass, one equal to a tied level, or none (0 and -0.0);
+        # the others take three dyadic levels, so every sum is exact and every
+        # crossing falls among ties
+        rng = np.random.default_rng(size)
+        half = np.ldexp(1.0, -rng.integers(20, 23, size=size))
+        half[rng.random(size) < 0.3] = 0.0
+        half[0] = zero
+        whole = np.concatenate((half[:0:-1], half))
+        cum = np.cumsum(np.sort(whole)[::-1])
+        targets = cum[:: max(whole.size // 40, 1)].tolist() + [zero, zero + half.max()]
+        for delta in [1.0 - t for t in targets if 0.0 < 1.0 - t < 1.0] + [0.01, 0.5, 0.9]:
+            expected = sorted_typical_set_size(whole, delta)
+            assert typical_set_size(half, delta, mirrored=True) == expected, delta
+        assert support_size(half, mirrored=True) == np.count_nonzero(whole > 0)
+        assert entropy_bits(half, mirrored=True) == pytest.approx(masked_entropy_bits(whole),
+                                                                 rel=1e-13, abs=1e-15)
 
 
 #: (p, steps, law) -> (typical, support) columns of evolve_with_trace, recorded
@@ -477,6 +580,8 @@ class TestFourierOracle:
             for k, mass in iter_evolve(params, 24):
                 if k not in steps:
                     continue
+                if params.increments.is_symmetric:  # the half holds 0..w or 0..(p - 1)/2
+                    mass = unfold_mirrored(mass, p)
                 checked.append((k, mass.size < p))
                 for xi in xis:
                     got = fourier_coefficient(mass, p, xi)

@@ -31,6 +31,14 @@ class TestValidateParams:
         assert params.modulus == 101
         assert params == ProcessParams(101)
         assert params.increments.is_uniform_thirds
+        assert params.increments.is_symmetric
+
+    @pytest.mark.parametrize("qs, symmetric", [
+        ((0.25, 0.5, 0.25), True), ((0.5, 0.0, 0.5), True), ((0.0, 1.0, 0.0), True),
+        ((0.2, 0.5, 0.3), False), ((0.3, 0.4, 0.3 + 1e-15), False),
+    ])
+    def test_symmetric_means_equal_outer_probabilities(self, qs, symmetric):
+        assert IncrementDistribution(*qs).is_symmetric is symmetric
 
     def test_even_modulus_rejected(self):
         with pytest.raises(EvenModulusError):
@@ -148,6 +156,19 @@ class TestSampleEndpointsDomain:
         code = main(["simulate", f"--p={p}", f"--steps={steps}", f"--trials={trials}"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class TestTally:
+    @pytest.mark.parametrize("size, values", [(1, 1), (9, 1), (10, 10), (100_000, 50),
+                                              (100_000, 1 << 40)])
+    def test_equals_numpy_unique(self, size, values):
+        # sizes well above the values make long runs of collisions
+        x = np.random.default_rng(size + values).integers(-values, values, size=size)
+        got = process._tally(x.copy())
+        expected = np.unique(x, return_counts=True)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
 
 
 class TestSampleTrajectory:
