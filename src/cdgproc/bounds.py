@@ -34,6 +34,7 @@ __all__ = [
     "EmptyRegionError",
     "MAX_COUNT_COST",
     "RegionCount",
+    "SELECTORS",
     "StirlingBound",
     "binomial_tail_count",
     "c2_of_eps",
@@ -384,7 +385,7 @@ def stirling_upper_bound(n: int, eps: float) -> StirlingBound:
 
 
 #: selector -> rate constant used by predict_threshold
-_SELECTORS = ("support", "c1_basic", "c1_refined", "c_hat")
+SELECTORS = ("support", "c1_basic", "c1_refined", "c_hat")
 
 
 def predict_threshold(p: int, which: str) -> int:
@@ -395,8 +396,8 @@ def predict_threshold(p: int, which: str) -> int:
     """
     if p < 3:
         raise DomainError(f"modulus {p} must be at least 3")
-    if which not in _SELECTORS:
-        raise ValueError(f"unknown selector {which!r}; choose from {_SELECTORS}")
+    if which not in SELECTORS:
+        raise ValueError(f"unknown selector {which!r}; choose from {SELECTORS}")
     if which == "support":
         c = 1.0
     else:

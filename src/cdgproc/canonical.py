@@ -109,14 +109,13 @@ class CanonicalForm:
 class BlockDecomposition:
     """Leading zeros plus the block list of a first-1 string.
 
-    The final block is truncated by the end of the string (a longer string
-    could extend it), so it is flagged.
+    The final block is always cut by the end of the string: a longer string
+    could extend it.
     """
 
     leading_zeros: int
     blocks: tuple[tuple[int, ...], ...]
     start_positions: tuple[int, ...]
-    last_is_partial: bool
 
 
 def classify(digits) -> SequenceClass:
@@ -197,16 +196,10 @@ def decompose_blocks(digits) -> BlockDecomposition:
             f"block decomposition needs a first-1 string, got {cls.value}"
             + (" (negate the digits first)" if cls is SequenceClass.FIRST_MINUS_ONE else "")
         )
-    ones = np.flatnonzero(arr == 1)
-    starts = ones.tolist()
+    starts = np.flatnonzero(arr == 1).tolist()
     ends = starts[1:] + [arr.size]
     blocks = tuple(tuple(arr[s:e].tolist()) for s, e in zip(starts, ends))
-    return BlockDecomposition(
-        leading_zeros=int(starts[0]),
-        blocks=blocks,
-        start_positions=tuple(starts),
-        last_is_partial=True,
-    )
+    return BlockDecomposition(starts[0], blocks, tuple(starts))
 
 
 def pair_cell(b_prev: int, b_cur: int, bt_prev: int, bt_cur: int) -> tuple[int, int]:

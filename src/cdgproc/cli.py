@@ -5,7 +5,8 @@ writes data to stdout (or --out) and diagnostics to stderr, and exits 0 only
 on success.  CSV floats are printed with 12 significant digits; JSON output
 validates against schemas/cli_output.schema.json shipped with the package.
 This module holds argument handling, cost checks and output only: `simulate`
-samples through process.sample_endpoints, the library's one chain sampler.
+samples through process.sample_endpoints, the library's one chain sampler, and
+`scan` asks distribution.first_crossings for the exact walk's first crossings.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ __all__ = ["build_parser", "main", "run"]
 
 #: tvd thresholds whose first crossing the scan subcommand records
 SCAN_THRESHOLDS = (0.75, 0.5, 0.25, 0.05)
-#: predict_threshold selectors of the scan's pred_* columns
-_SCAN_SELECTORS = ("support", "c1_basic", "c1_refined", "c_hat")
 _SCAN_COLUMNS = ("p", "log2_p", "cross_075", "cross_050", "cross_025", "cross_005",
-                 *(f"pred_{s}" for s in _SCAN_SELECTORS))
+                 *(f"pred_{s}" for s in bounds_mod.SELECTORS))
 
 #: evolve keeps every trace row and the whole output text in memory, about 1.5 KB a step
 MAX_TRACE_STEPS = 100_000
@@ -120,10 +119,7 @@ def cmd_evolve(args) -> int:
     params = ProcessParams(args.p, _parse_dist(args.dist))
     _check_cost("evolve", args.steps * params.modulus, MAX_EVOLVE_COST, "reduce --steps or --p")
     rows = dist_mod.evolve_with_trace(params, args.steps, args.delta)
-    trace = [
-        dict(zip(_EVOLVE_COLUMNS, (r.step, r.tvd, r.entropy_bits, r.support, r.typical)))
-        for r in rows
-    ]
+    trace = [dict(zip(_EVOLVE_COLUMNS, r)) for r in rows]
     if args.format == "csv":
         _emit(_csv(_EVOLVE_COLUMNS, trace), args.out)
     else:
@@ -191,20 +187,9 @@ def _scan_moduli(args) -> list[int]:
 
 
 def _scan_row(p: int, dist: IncrementDistribution, cap: int | None) -> dict:
-    params = ProcessParams(p, dist)
-    limit = _scan_cap(p, cap)
-    crossings: dict[float, int | None] = dict.fromkeys(SCAN_THRESHOLDS)
-    for n, mass in dist_mod.iter_evolve(params, limit):
-        if n == 0:  # the start is never a crossing
-            continue
-        tvd = dist_mod.tvd_uniform(mass, p, mirrored=dist.is_symmetric)
-        for t in SCAN_THRESHOLDS:
-            if crossings[t] is None and tvd < t:
-                crossings[t] = n
-        if None not in crossings.values():
-            break
-    preds = [bounds_mod.predict_threshold(p, s) for s in _SCAN_SELECTORS]
-    return dict(zip(_SCAN_COLUMNS, (p, math.log2(p), *crossings.values(), *preds)))
+    crossings = dist_mod.first_crossings(ProcessParams(p, dist), SCAN_THRESHOLDS, _scan_cap(p, cap))
+    preds = [bounds_mod.predict_threshold(p, s) for s in bounds_mod.SELECTORS]
+    return dict(zip(_SCAN_COLUMNS, (p, math.log2(p), *crossings, *preds)))
 
 
 def cmd_scan(args) -> int:
@@ -244,7 +229,7 @@ def cmd_canon(args) -> int:
             leading_zeros=dec.leading_zeros,
             blocks=[format_digits(b) for b in dec.blocks],
             start_positions=list(dec.start_positions),
-            last_block_partial=dec.last_is_partial,
+            last_block_partial=True,  # the string's end always cuts the last block
             block_source="input" if cls is SequenceClass.FIRST_ONE else "negated_input",
         )
     _emit_json(payload, args.out)

@@ -13,18 +13,20 @@ Under a symmetric law (q+ = q-) x and -x have the same mass at every step, so
 the walk holds only the integers 0..w, then the residues 0..(p - 1)/2: the
 mirrored half.  The trace functionals read it with `mirrored=True`, which
 counts every mass but residue 0's twice, and `evolve` unfolds it into the
-dense vector.  Windows and dense vectors live in prefixes of two buffers of
-the dense length, p or (p + 1)/2, that the steps ping-pong between, so under
-a symmetric law the walk holds one p-vector's worth in all.  A step reads the
-old masses and writes the new ones `_STEP_BLOCK` output pairs at a time
-through one small block buffer, so each block's work stays in cache.
+dense vector.  Only this module knows that layout: `evolve`, `evolve_with_trace`
+and `first_crossings` read the walk for every caller in the package.  Windows
+and dense vectors live in prefixes of two buffers of the dense length, p or
+(p + 1)/2, that the steps ping-pong between, so under a symmetric law the
+walk holds one p-vector's worth in all.  A step reads the old masses and
+writes the new ones `_STEP_BLOCK` output pairs at a time through one small
+block buffer, so each block's work stays in cache.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "entropy_bits",
     "evolve",
     "evolve_with_trace",
+    "first_crossings",
     "initial_dist",
     "iter_evolve",
     "step",
@@ -221,9 +224,8 @@ def evolve(params: ProcessParams, n: int) -> np.ndarray:
     return _embed(mass, params.modulus, mirrored=params.increments.is_symmetric)
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """Per-step functionals emitted by evolve_with_trace."""
+class TraceRow(NamedTuple):
+    """Per-step functionals emitted by evolve_with_trace, in `cdg evolve`'s column order."""
 
     step: int
     tvd: float
@@ -246,6 +248,24 @@ def evolve_with_trace(params: ProcessParams, n: int, delta: float = 0.01) -> lis
                              support_size(mass, mirrored=mirrored),
                              typical_set_size(mass, delta, mirrored=mirrored)))
     return rows
+
+
+def first_crossings(params: ProcessParams, thresholds: Sequence[float], n: int) -> list[int | None]:
+    """For each threshold, the first step k in 1..n whose tvd from uniform is below it.
+
+    The start, k = 0, is never a crossing, and a threshold not crossed by
+    step n gets None.  The walk stops at the step that crosses the last one.
+    """
+    p, mirrored = params.modulus, params.increments.is_symmetric
+    crossings: list[int | None] = [None] * len(thresholds)
+    for k, mass in iter_evolve(params, n):
+        if k == 0:
+            continue
+        tvd = tvd_uniform(mass, p, mirrored=mirrored)
+        crossings = [k if c is None and tvd < t else c for c, t in zip(crossings, thresholds)]
+        if None not in crossings:
+            break
+    return crossings
 
 
 def _fold(dist: np.ndarray, term, combine=operator.add, dtype=np.float64):

@@ -211,11 +211,7 @@ class FrequencyReport:
         for r, rlabel in enumerate(ROW_LABELS):
             for c, clabel in enumerate(COL_LABELS):
                 for par, plabel in enumerate(("even", "odd")):
-                    err = (
-                        None
-                        if self.freq_stderr is None
-                        else float(self.freq_stderr[r, c, par])
-                    )
+                    err = None if self.freq_stderr is None else float(self.freq_stderr[r, c, par])
                     cells[f"{rlabel}|{clabel}|{plabel}"] = {
                         "count": int(self.counts[r, c, par]),
                         "frequency": float(mean[r, c, par]),
@@ -230,6 +226,7 @@ class FrequencyReport:
                     "limit": float(TABLE_LIMITS[r, c]),
                 }
         n1, n2, n3, n4 = _col11_split(mean)
+        col11_even, col11_odd = self.col11_parity_freq()
         return {
             "n": self.n,
             "mode": self.mode,
@@ -242,9 +239,9 @@ class FrequencyReport:
                 "n2": float(n2),
                 "n3": float(n3),
                 "n4": float(n4),
-                "column_sums": [float(x) for x in mean.sum(axis=(0, 2))],
-                "col11_even": float(mean[:, 2, 0].sum()),
-                "col11_odd": float(mean[:, 2, 1].sum()),
+                "column_sums": [float(x) for x in self.column_sums],
+                "col11_even": col11_even,
+                "col11_odd": col11_odd,
             },
         }
 

@@ -189,7 +189,6 @@ class TestDecomposeBlocks:
         assert dec.leading_zeros == 2
         assert dec.blocks == ((1, -1, 0), (1, 0), (1, -1), (1,), (1,))
         assert dec.start_positions == (2, 5, 7, 9, 10)
-        assert dec.last_is_partial
         assert dec.blocks[:-1] == ((1, -1, 0), (1, 0), (1, -1), (1,))
 
     def test_single_one(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdgproc import distribution
 from cdgproc.distribution import (
     _BLOCK,
     _SORT_MAX,
@@ -20,6 +21,7 @@ from cdgproc.distribution import (
     entropy_bits,
     evolve,
     evolve_with_trace,
+    first_crossings,
     initial_dist,
     iter_evolve,
     step,
@@ -350,6 +352,68 @@ class TestTrace:
             assert row.entropy_bits == pytest.approx(entropy_bits(dist), rel=1e-13, abs=1e-15)
             assert row.support == support_size(dist)
             assert row.typical == typical_set_size(dist, 0.05)
+
+
+#: the tvd thresholds of `cdg scan`
+THRESHOLDS = (0.75, 0.5, 0.25, 0.05)
+
+
+def stepped_tvds(params, n):
+    """tvd from uniform of steps 0..n, from whole p-vectors: initial_dist, then `step` n times."""
+    p = params.modulus
+    dist = initial_dist(p)
+    tvds = [whole_vector_tvd_uniform(dist, p)]
+    for _ in range(n):
+        dist = step(dist, params)
+        tvds.append(whole_vector_tvd_uniform(dist, p))
+    return tvds
+
+
+class TestFirstCrossings:
+    LAWS = [(1 / 3, 1 / 3, 1 / 3), (0.25, 0.5, 0.25), (0.2, 0.5, 0.3)]
+
+    @pytest.mark.parametrize("q", LAWS)
+    @pytest.mark.parametrize("p", [3, 101, 10007])
+    def test_matches_whole_vector_steps(self, p, q):
+        params = ProcessParams(p, IncrementDistribution(*q))
+        n = 4 * math.ceil(math.log2(p)) + 64  # the scan's default cap
+        tvds = stepped_tvds(params, n)
+        expected = [next((k for k in range(1, n + 1) if tvds[k] < t), None) for t in THRESHOLDS]
+        assert None not in expected
+        # half and whole sums differ in the last bits: no tvd up to the last crossing
+        # lies close enough to a threshold for that to move a crossing
+        assert all(abs(tvd - t) > 1e-12 for tvd in tvds[1 : max(expected) + 1] for t in THRESHOLDS)
+        assert first_crossings(params, THRESHOLDS, n) == expected
+
+    @pytest.mark.parametrize("q", LAWS)
+    def test_caps_short_of_a_crossing(self, q):
+        params = ProcessParams(101, IncrementDistribution(*q))
+        full = first_crossings(params, THRESHOLDS, 200)
+        assert min(full) > 1
+        for cap in (0, min(full) - 1):
+            assert first_crossings(params, THRESHOLDS, cap) == [None] * len(THRESHOLDS)
+        # a cap at the second crossing: the thresholds crossed later get None
+        cap = full[1]
+        assert first_crossings(params, THRESHOLDS, cap) == [k if k <= cap else None for k in full]
+
+    def test_the_start_is_never_a_crossing(self):
+        params = ProcessParams(101)  # step 0's tvd, 1 - 1/101, is below 1.5
+        assert first_crossings(params, (1.5, 0.75), 0) == [None, None]
+        assert first_crossings(params, (1.5,), 5) == [1]
+
+    @pytest.mark.parametrize("q", LAWS)
+    def test_no_step_after_the_last_crossing(self, monkeypatch, q):
+        consumed, original = [], distribution.iter_evolve
+
+        def counted(*args):
+            for k, mass in original(*args):
+                consumed.append(k)
+                yield k, mass
+
+        monkeypatch.setattr(distribution, "iter_evolve", counted)
+        crossings = first_crossings(ProcessParams(10007, IncrementDistribution(*q)), THRESHOLDS, 1000)
+        assert None not in crossings
+        assert consumed == list(range(max(crossings) + 1))
 
 
 @st.composite

@@ -2,11 +2,13 @@
 
 perfbench/tracing.py wraps module-level names of cdgproc for its traced runs;
 a refactor that renames one fails here in seconds rather than only in the
-traced benchmark run.
+traced benchmark run.  A traced scan checks that the walk's calls still go
+through those names.
 """
 
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -30,3 +32,17 @@ def test_step_span_reads_dist():
     from cdgproc import distribution
 
     assert "dist" in inspect.signature(distribution._apply_step).parameters
+
+
+def test_scan_spans_follow_every_step():
+    # scan's only tvd calls are first_crossings', one after each evolved step k >= 1:
+    # a call that bypassed the module global would drop out of this sequence
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        code, out, err = tracing.run_inprocess(["scan", "--primes", "10007", "--format", "json"],
+                                               tracer)
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    last = max(row[c] for c in ("cross_075", "cross_050", "cross_025", "cross_005"))
+    walk = [s.name for s in tracer.spans if s.name in ("distribution.step", "distribution.tvd")]
+    assert walk == ["distribution.step", "distribution.tvd"] * last
