@@ -132,8 +132,10 @@ def _first_nonzero_sign(mat: np.ndarray) -> np.ndarray:
     return mat[np.arange(mat.shape[0]), first]
 
 
-def _canonicalize_matrix(mat: np.ndarray) -> np.ndarray:
-    """Row-wise standard form of an int8 digit matrix.
+def _canonicalize_matrix(
+    mat: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise standard form of an int8 digit matrix, written to out if given.
 
     Rows are first normalized to nonnegative value by their class sign.  The
     right-to-left sweep would then carry c in {0, -1}, and the carry into
@@ -142,18 +144,20 @@ def _canonicalize_matrix(mat: np.ndarray) -> np.ndarray:
     positions at once by pointer doubling: in the pass with shift d = 1, 2,
     4, ... a zero entry takes the entry d places to its right, so the passes
     stop after about log2 of the longest zero run.  The sign is applied back
-    at the end.  No big integers and no loop over columns.
+    at the end.  No big integers and no loop over columns.  out and scratch
+    are C-contiguous int8 arrays of mat's shape, allocated when not given: a
+    caller that sweeps many chunks passes the same two each time, so no chunk
+    touches fresh pages.
     """
     if mat.shape[1] == 0:
-        return mat.copy()
+        return mat.copy() if out is None else out
     sign = _first_nonzero_sign(mat)[:, None]
     # one scratch buffer: the normalized digits, then each pass's step
-    scratch = np.empty(mat.shape, dtype=np.int8)
-    np.multiply(mat, sign, out=scratch)
+    scratch = np.multiply(mat, sign, out=scratch, dtype=np.int8)
     # near[:, k]: nearest nonzero digit right of k, within the window so far.
     # Each row ends in a 1 that stands for "none" (no carry) and stops every
     # window inside its row, so the rows can be swept as one flat array.
-    near = np.empty_like(scratch)
+    near = np.empty_like(scratch) if out is None else out
     flat = near.reshape(-1)
     flat[:-1] = scratch.reshape(-1)[1:]
     near[:, -1] = 1

@@ -2,11 +2,15 @@
 
 For a digit string with standard form bt, every position a in {1, ..., n-1}
 falls into one cell of the 6 x 4 pair table (see canonical.TABLE_LIMITS),
-additionally split by the parity of a.  This module counts those cells for
-single strings, exactly over every first-1 string of small length (one
-contiguous range of the base-3 enumeration), and by seeded Monte Carlo for
-large lengths; it also measures the block-pattern events behind the pair
-counts.
+additionally split by the parity of a.  This module counts those cells
+exactly over every first-1 string of small length (one contiguous range of
+the base-3 enumeration), and by seeded Monte Carlo for large lengths; it
+also measures the block-pattern events behind the pair counts.
+
+A position's cell depends only on (b_{a-1}, b_a, bt_a) and the parity of a,
+since b_a and bt_a fix the carry.  So each position gets one of 36 int8 pair
+indices, built in place with no table gather, and the tallies are taken over
+the 36 indices and folded into the 48 cells exactly in int64.
 
 Monte Carlo draws one substream (process.substream, also the seed rule of
 the chain's sampler process.sample_endpoints) per block of about 2^16 digits
@@ -15,7 +19,9 @@ grow with the trial count; its cost, trials x (n + 48), is checked before
 anything is drawn.  One chunk budget of 2^20 such units serves both modes: a
 Monte Carlo chunk is the most whole blocks within it (or one block), an
 exhaustive chunk the most enumerated rows (or one row), so neither mode's
-memory grows with the trial count or with 3^n.
+memory grows with the trial count or with 3^n.  Monte Carlo sweeps every
+chunk in the same three int8 buffers, and its peak is about 4 bytes a digit
+of one chunk.
 
 All reports use the first-1 table orientation.  Statistics are identical
 under negation, so Monte Carlo negates first-minus-1 draws before counting,
@@ -25,6 +31,7 @@ and exhaustive mode counts the first-1 strings for either class.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,12 +46,10 @@ from .canonical import (
     _COL_LUT,
     _first_nonzero_sign,
     _ROW_LUT,
-    _SIGN_CLASS,
 )
-from .process import as_digit_array, substream
+from .process import substream
 
 __all__ = [
-    "AllZeroInputError",
     "BlockEventReport",
     "EVENT_CLASS_LENGTH",
     "EVENT_CLASS_TRIALS",
@@ -52,10 +57,8 @@ __all__ = [
     "FrequencyReport",
     "MAX_MC_COST",
     "MAX_MC_LENGTH",
-    "PairHistogram",
     "TooLargeError",
     "class_probability",
-    "count_pairs",
     "event_probabilities",
     "exhaustive_expectations",
     "monte_carlo_frequencies",
@@ -68,11 +71,13 @@ _CELLS = 6 * 4 * 2
 
 #: Monte Carlo refuses trials * (n + 48) above this: digits plus per-row cells.
 #: It also keeps the int64 sums of squares, at most trials * n^2 < 2^56, exact.
-#: Measured on a 2-core x86 VM: 4.3 ns a unit at n = 2, 7.6 at n = 20, 14 to 18
-#: at n = 100 to 1000, 14.4 at n = 100000 and 20 at n = 2^16 (one trial per
-#: substream), so the largest accepted input takes about 1.5 minutes.
+#: Measured on a 2-core x86 VM: 3.7 ns a unit at n = 2, 5.9 at n = 20, 8 to 12
+#: at n = 100 to 1000, 10.0 at n = 100000 and 11.1 at n = 2^16 (one trial per
+#: substream), so the largest accepted input takes about 1 minute.
 MAX_MC_COST = 1 << 32
-#: one row is the smallest chunk, so n alone sets the Monte Carlo memory
+#: one row is the smallest chunk, so n alone sets the Monte Carlo memory: about
+#: 4 bytes a digit of one chunk (three int8 buffers, then the draw or the
+#: sign's bool temporary), 64 MiB at this length
 MAX_MC_LENGTH = 1 << 24
 #: a Monte Carlo substream covers about this many digits (whole rows, at least one)
 _BLOCK_DIGITS = 1 << 16
@@ -83,41 +88,66 @@ EVENT_CLASS_TRIALS = 100_000
 #: the length of those strings, whose exact class probability is reported beside them
 EVENT_CLASS_LENGTH = 10
 
-# cell code ((row * 4) + col) * 2 at [(b_prev + 1) * 12 + (b_cur + 1) * 4 + bt_prev * 2 + bt_cur]
-_CODE_LUT = ((_ROW_LUT[:, :, None, None] * 4 + _COL_LUT) * 2).astype(np.uint8).ravel()
+#: a bincount of _per_row_counts covers whole rows of at most this many positions plus
+#: 36 counts a row; a longer row is one piece, counted in slices of this many positions
+_PIECE_UNITS = 1 << 15
 
 
-class AllZeroInputError(ValueError):
-    """Pair counting is undefined on the all-zero string."""
+def _pair_table() -> tuple[np.ndarray, np.ndarray]:
+    """The cell code of every pair index, and the index pairs that share a cell.
+
+    Index ((b_{a-1} + 1) * 6 + (b_a + 1) * 2 + bt_a) * 2 + (a & 1) fixes the
+    cell: b_a and bt_a fix the carry c_a into a (bt_a = (b_a + c_a) & 1), the
+    carry into a - 1 is (b_a + c_a) >> 1, and bt_{a-1} = (b_{a-1} + that) & 1.
+    Of the 36 indices, 8 pairs share a cell and 20 have one alone.  Python
+    integers, not numpy: array arithmetic here raised the import's peak RSS
+    by about 0.3 MB.
+    """
+    rows, cols = _ROW_LUT.tolist(), _COL_LUT.tolist()
+    codes = []
+    for b_prev, b_cur, bt_cur, odd in itertools.product((-1, 0, 1), (-1, 0, 1), (0, 1), (0, 1)):
+        carry = -((b_cur + bt_cur) & 1)
+        bt_prev = (b_prev + ((b_cur + carry) >> 1)) & 1
+        codes.append((rows[b_prev + 1][b_cur + 1] * 4 + cols[bt_prev][bt_cur]) * 2 + odd)
+    shared = [(i, j) for i in range(36) for j in range(i + 1, 36) if codes[i] == codes[j]]
+    return np.array(codes, dtype=np.intp), np.array(shared).T
+
+
+# cell code ((row * 4) + col) * 2 + parity at each pair index; index pairs sharing a cell
+_CODE36, _SHARED = _pair_table()
 
 
 class TooLargeError(ValueError):
     """Length exceeds the exhaustive enumeration bound."""
 
 
-def _pair_codes(raw: np.ndarray, canon: np.ndarray) -> np.ndarray:
-    """Cell code per position a: ((row * 4) + col) * 2 + parity(a), as uint8.
+def _pair_codes(raw: np.ndarray, canon: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pair index per position a: ((b_{a-1} + 1) * 6 + (b_a + 1) * 2 + bt_a) * 2 + (a & 1).
 
     raw must already be normalized to the first-1 orientation, so canon
-    entries are in {0, 1}.  The index
-    (b_{a-1} + 1) * 12 + (b_a + 1) * 4 + bt_{a-1} * 2 + bt_a is built in int8
-    in place and read through one 36-entry table.  Shape (rows, n) in,
+    entries are in {0, 1}.  The index is built in int8 in place, in out if
+    given, with no gather: _CODE36 maps it to its cell.  Shape (rows, n) in,
     (rows, n-1) out.
     """
-    idx = raw[:, :-1] * 3
+    idx = np.multiply(raw[:, :-1], 3, out=out)
     idx += raw[:, 1:]
     idx += 4
     idx *= 2
-    idx += canon[:, :-1]
-    idx *= 2
     idx += canon[:, 1:]
-    codes = _CODE_LUT[idx]
-    codes += (np.arange(1, raw.shape[1]) & 1).astype(np.uint8)
-    return codes
+    idx *= 2
+    idx[:, ::2] += 1  # column j is position a = j + 1
+    return idx
+
+
+def _fold(per_index: np.ndarray) -> np.ndarray:
+    """Sum int64 values per pair index into their 48 cells, exactly."""
+    cells = np.zeros(_CELLS, dtype=np.int64)
+    np.add.at(cells, _CODE36, per_index)
+    return cells
 
 
 def _aggregate_counts(codes: np.ndarray) -> np.ndarray:
-    return np.bincount(codes.ravel(), minlength=_CELLS).reshape(6, 4, 2)
+    return _fold(np.bincount(codes.ravel(), minlength=36)).reshape(6, 4, 2)
 
 
 def _col11_split(cells: np.ndarray) -> tuple:
@@ -129,38 +159,38 @@ def _col11_split(cells: np.ndarray) -> tuple:
 def _per_row_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell sums and sums of squares, over the rows, of each row's cell counts.
 
-    Row r's codes are offset by 48 r and tallied by one bincount into a
-    rows x 48 array; the Monte Carlo chunk budget bounds its size and that of
-    the int64 codes.  Both results have shape (48,).
+    codes are pair indices (see _pair_codes).  A piece of whole rows within
+    _PIECE_UNITS is offset by 36 a row into one intp buffer and tallied by one
+    bincount into rows x 36 counts; a longer row is counted in slices.  So no
+    temporary grows with the chunk or the row, and no int64 copy of every
+    position is made.  A cell's count is the sum of its
+    indices' counts, so its square is their squares plus twice the product of
+    its _SHARED pair; both fold into the 48 cells exactly in int64.  Both
+    results have shape (48,).
     """
-    rows = codes.shape[0]
-    offset = codes + np.arange(0, rows * _CELLS, _CELLS, dtype=np.int64)[:, None]
-    counts = np.bincount(offset.ravel(), minlength=rows * _CELLS).reshape(rows, _CELLS)
-    return counts.sum(axis=0), np.einsum("ij,ij->j", counts, counts)
-
-
-@dataclass(frozen=True, eq=False)
-class PairHistogram:
-    """Cell counts of one digit string: (6 rows, 4 columns, 2 parities).
-
-    The parity axis is indexed by a mod 2, so cells[..., 1] counts odd a.
-    """
-
-    n: int
-    sequence_class: SequenceClass
-    cells: np.ndarray
-
-
-def count_pairs(digits) -> PairHistogram:
-    """Tally every position a of one string into its pair-table cell."""
-    arr = as_digit_array(digits)
-    sign = int(_first_nonzero_sign(arr[None, :])[0])
-    if sign == 0:
-        raise AllZeroInputError("cannot count pairs of the all-zero string")
-    work = (arr * sign).astype(np.int8)[None, :]
-    canon = _canonicalize_matrix(work)
-    cells = _aggregate_counts(_pair_codes(work, canon))
-    return PairHistogram(n=arr.size, sequence_class=_SIGN_CLASS[sign], cells=cells)
+    rows, width = codes.shape
+    per = max(1, _PIECE_UNITS // (width + 36))  # rows per piece
+    s1 = np.zeros(36, dtype=np.int64)
+    sq = np.zeros(36, dtype=np.int64)
+    cross = np.zeros(_SHARED.shape[1], dtype=np.int64)
+    if per > 1:
+        offset = np.arange(0, min(per, rows) * 36, 36, dtype=np.intp)[:, None]
+        piece = np.empty((min(per, rows), width), dtype=np.intp)
+    for lo in range(0, rows, per):
+        k = min(per, rows - lo)
+        if per > 1:
+            np.add(codes[lo : lo + k], offset[:k], out=piece[:k])
+            counts = np.bincount(piece[:k].ravel(), minlength=k * 36).reshape(k, 36)
+        else:
+            row = codes[lo]
+            counts = sum(np.bincount(row[j : j + _PIECE_UNITS], minlength=36)
+                         for j in range(0, width, _PIECE_UNITS))[None, :]
+        s1 += counts.sum(axis=0)
+        sq += np.einsum("ij,ij->j", counts, counts)
+        cross += np.einsum("ij,ij->j", counts[:, _SHARED[0]], counts[:, _SHARED[1]])
+    s2 = _fold(sq)
+    np.add.at(s2, _CODE36[_SHARED[0]], 2 * cross)
+    return _fold(s1), s2
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +248,12 @@ class FrequencyReport:
                         "stderr": err,
                     }
         combined = {}
+        combined_freq = self.combined_freq
         for r, rlabel in enumerate(ROW_LABELS):
             for c, clabel in enumerate(COL_LABELS):
                 combined[f"{rlabel}|{clabel}"] = {
                     "count": int(self.counts[r, c].sum()),
-                    "frequency": float(mean[r, c].sum()),
+                    "frequency": float(combined_freq[r, c]),
                     "limit": float(TABLE_LIMITS[r, c]),
                 }
         n1, n2, n3, n4 = _col11_split(mean)
@@ -345,9 +376,12 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
     s1 = np.zeros(_CELLS, dtype=np.int64)
     s2 = np.zeros(_CELLS, dtype=np.int64)
     used = 0
+    # every chunk is swept in these three buffers: fresh pages for each chunk took
+    # about 0.1 s of 0.5 s at 600 rows of 100000 digits
+    draws, canon, scratch = (np.empty((min(per_chunk, trials), n), dtype=np.int8) for _ in range(3))
     for lo in range(0, trials, per_chunk):
         hi = min(lo + per_chunk, trials)
-        mat = np.empty((hi - lo, n), dtype=np.int8)
+        mat = draws[: hi - lo]
         for start in range(lo, hi, block):
             rows = min(block, hi - start)
             mat[start - lo : start - lo + rows] = substream(root, start // block).integers(
@@ -357,12 +391,14 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
         mat *= sign[:, None]
         if not sign.all():
             mat = mat[sign != 0]
-        c1, c2 = _per_row_counts(_pair_codes(mat, _canonicalize_matrix(mat)))
+        k = mat.shape[0]
+        _canonicalize_matrix(mat, out=canon[:k], scratch=scratch[:k])
+        # the index goes, contiguous, into the scratch the sweep is done with
+        codes = scratch.reshape(-1)[: k * (n - 1)].reshape(k, n - 1)
+        c1, c2 = _per_row_counts(_pair_codes(mat, canon[:k], out=codes))
         s1 += c1
         s2 += c2
-        used += mat.shape[0]
-        # release this chunk before the next one is allocated, which lowers the peak RSS
-        del mat, sign
+        used += k
     if used == 0:
         raise ValueError("all trials drew the all-zero string; increase n or trials")
     if used > 1:

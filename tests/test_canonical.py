@@ -114,6 +114,16 @@ class TestCanonicalizeExhaustive:
         np.testing.assert_array_equal(_canonicalize_matrix(-mat), -canon)
 
 
+    def test_reused_buffers_give_the_same_result(self, mats):
+        # one out and one scratch for chunks of every size, stale contents and all
+        mat, canon = mats
+        out = np.full(mat.shape, 7, dtype=np.int8)
+        scratch = np.full(mat.shape, 7, dtype=np.int8)
+        for lo, hi in ((0, len(mat)), (5, 900), (1000, 1001), (3, 3)):
+            got = _canonicalize_matrix(mat[lo:hi], out=out[: hi - lo], scratch=scratch[: hi - lo])
+            assert got.size == 0 or np.shares_memory(got, out)
+            np.testing.assert_array_equal(got, canon[lo:hi])
+
 class TestCanonicalizeLong:
     def test_random_ten_thousand_digits(self):
         rng = np.random.default_rng(512)

@@ -54,6 +54,24 @@ def run_captured(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def child_peak_kib(*args):
+    """(exit code, peak RSS in KiB) of `python *args`, started from a small launcher.
+
+    os.wait4 reports at least the peak RSS of the process a child was started
+    from, and pytest is large, so the launcher stands between them.
+    """
+    launcher = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:]); "
+                "_, status, usage = os.wait4(child.pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    src = str(Path(cdgproc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    code, peak_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
+    return code, peak_kib
+
+
 def run_json(capsys, schema, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -116,20 +134,10 @@ class TestEvolve:
             assert "exceeds guard" in err and out == ""
 
     def test_guard_modulus_without_steps_stays_small(self, tmp_path):
-        # one trace row at the largest prime below the guard touches no p-vector.
-        # A small launcher starts the measured run, since os.wait4 reports at least
-        # the peak RSS of the process a child was started from, and pytest is large.
-        launcher = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:]); "
-                    "_, status, usage = os.wait4(child.pid, 0); "
-                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        # one trace row at the largest prime below the guard touches no p-vector
         target = tmp_path / "trace.csv"
-        src = str(Path(cdgproc.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, sys.executable, "-m", "cdgproc.cli", "evolve",
-             "--p", "67108859", "--steps", "0", "--out", str(target)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
-        )
-        code, peak_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
+        code, peak_kib = child_peak_kib("-m", "cdgproc.cli", "evolve", "--p", "67108859",
+                                        "--steps", "0", "--out", str(target))
         assert code == 0
         assert len(target.read_text().splitlines()) == 2
         assert peak_kib < 256 * 1024
@@ -320,6 +328,18 @@ class TestStats:
         )
         assert payload["mode"] == "monte-carlo"
         assert payload["seed"] == 5
+
+    def test_long_rows_stay_small(self, tmp_path):
+        # 20 rows of 100000 digits over a bare import: about 10 MB, where int64
+        # per-position offsets took about 18
+        code, base_kib = child_peak_kib("-c", "import cdgproc.cli")
+        assert code == 0
+        target = tmp_path / "stats.json"
+        code, peak_kib = child_peak_kib("-m", "cdgproc.cli", "stats", "--mode", "mc",
+                                        "--n", "100000", "--trials", "20", "--out", str(target))
+        assert code == 0
+        assert json.loads(target.read_text())["trials"] == 20
+        assert peak_kib - base_kib < 14 * 1024
 
     def test_csv_header(self, capsys):
         code, out, _ = run_cli(

@@ -8,17 +8,16 @@ import pytest
 from cdgproc import stats
 from cdgproc.canonical import SequenceClass, TABLE_LIMITS, _canonicalize_matrix, pair_cell
 from cdgproc.stats import (
-    AllZeroInputError,
     BlockEventReport,
     TooLargeError,
     class_probability,
-    count_pairs,
     event_probabilities,
     exhaustive_expectations,
     monte_carlo_frequencies,
 )
 from oracles import (
     all_digit_matrix,
+    bigint_canonical,
     block_substream_rows,
     naive_pair_cells,
     per_trial_moments,
@@ -53,84 +52,123 @@ def _signs(mat):
     return mat[np.arange(mat.shape[0]), first]
 
 
+def row_cells(digits):
+    """The library's cell counts of one nonzero string, tallied as a one-row matrix."""
+    row = np.asarray(digits, dtype=np.int8)[None, :]
+    row = row * _signs(row)[:, None]
+    return stats._aggregate_counts(stats._pair_codes(row, _canonicalize_matrix(row)))
+
+
 class TestCountPairs:
     def test_eleven_digit_example(self):
-        h = count_pairs(EXAMPLE)
-        assert int(h.cells[:, 2].sum()) == 2
+        cells = row_cells(EXAMPLE)
+        assert int(cells[:, 2].sum()) == 2
         # a=9 is odd with raw pair (-1, 1); a=10 is even with raw pair (1, 1)
-        assert h.cells[3, 2, 1] == 1
-        assert h.cells[0, 2, 0] == 1
-        assert tuple(map(int, stats._col11_split(h.cells))) == (1, 0, 1, 0)
-        assert h.cells.sum() == len(EXAMPLE) - 1
+        assert cells[3, 2, 1] == 1
+        assert cells[0, 2, 0] == 1
+        assert tuple(map(int, stats._col11_split(cells))) == (1, 0, 1, 0)
+        assert cells.sum() == len(EXAMPLE) - 1
 
     def test_all_ones(self):
-        h = count_pairs([1, 1, 1])
-        assert stats._col11_split(h.cells)[0] == 2
-        assert h.cells.sum() == 2 and h.cells[0, 2].sum() == 2
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroInputError):
-            count_pairs([0, 0, 0])
+        cells = row_cells([1, 1, 1])
+        assert stats._col11_split(cells)[0] == 2
+        assert cells.sum() == 2 and cells[0, 2].sum() == 2
 
     def test_single_digit_has_no_pairs(self):
-        assert count_pairs([1]).cells.sum() == 0
+        assert row_cells([1]).sum() == 0
 
     def test_matches_naive_oracle_exhaustively(self):
         mat = all_digit_matrix(7)
         for row in mat[_signs(mat) != 0]:
-            np.testing.assert_array_equal(count_pairs(row).cells, naive_pair_cells(row))
+            np.testing.assert_array_equal(row_cells(row), naive_pair_cells(row))
 
     def test_matches_naive_oracle_random_long(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             digits = rng.integers(-1, 2, size=251, dtype=np.int8)
-            np.testing.assert_array_equal(count_pairs(digits).cells, naive_pair_cells(digits))
+            np.testing.assert_array_equal(row_cells(digits), naive_pair_cells(digits))
 
     def test_partition_and_column_split_counts(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             digits = rng.integers(-1, 2, size=400, dtype=np.int8)
-            h = count_pairs(digits)
-            n1, n2, n3, n4 = stats._col11_split(h.cells)
-            assert h.cells.sum() == 399
+            cells = row_cells(digits)
+            n1, n2, n3, n4 = stats._col11_split(cells)
+            assert cells.sum() == 399
             assert n2 == 0
-            assert n1 + n2 + n3 + n4 == h.cells[:, 2].sum()
+            assert n1 + n2 + n3 + n4 == cells[:, 2].sum()
 
     def test_negation_symmetry(self):
         mat = all_digit_matrix(7)
         for row in mat[_signs(mat) == 1][:200]:
-            plus = count_pairs(row)
-            minus = count_pairs(-row)
-            np.testing.assert_array_equal(plus.cells, minus.cells)
-            assert minus.sequence_class is SequenceClass.FIRST_MINUS_ONE
+            np.testing.assert_array_equal(row_cells(row), row_cells(-row))
 
 
 class TestPairCodes:
-    COMBOS = list(product((-1, 0, 1), (-1, 0, 1), (0, 1), (0, 1)))
+    # (b_{a-1}, b_a, c_a, a & 1): c_a is the carry into a, so bt_a = (b_a + c_a) & 1
+    INPUTS = list(product((-1, 0, 1), (-1, 0, 1), (0, -1), (0, 1)))
 
     def test_table_matches_pair_cell(self):
-        raw = np.array([c[:2] for c in self.COMBOS], dtype=np.int8)
-        canon = np.array([c[2:] for c in self.COMBOS], dtype=np.int8)
-        codes = stats._pair_codes(raw, canon)
-        assert codes.shape == (36, 1)
-        for (b_prev, b_cur, bt_prev, bt_cur), code in zip(self.COMBOS, codes[:, 0].tolist()):
+        indices = set()
+        for b_prev, b_cur, carry, odd in self.INPUTS:
+            bt_cur = (b_cur + carry) & 1
+            bt_prev = (b_prev + ((b_cur + carry) >> 1)) & 1  # the sweep's carry into a - 1
+            index = (((b_prev + 1) * 6 + (b_cur + 1) * 2 + bt_cur) * 2) + odd
             row, col = pair_cell(b_prev, b_cur, bt_prev, bt_cur)
-            assert code // 2 == row * 4 + col
-            assert code % 2 == 1  # position a = 1
+            assert stats._CODE36[index] == (row * 4 + col) * 2 + odd
+            indices.add(index)
+        assert indices == set(range(36))  # the 18 inputs at both parities are every index
 
-    def test_uint8_codes_below_48_with_parity(self):
+    def test_index_matches_bigint_oracle(self):
+        # every position of every first-1 string of length 6, bt from the big-integer oracle
+        mat = all_digit_matrix(6)
+        raw = mat[_signs(mat) == 1]
+        canon = np.array([bigint_canonical(r) for r in raw], dtype=np.int8)
+        seen = set()
+        for r, bt, idx in zip(raw.tolist(), canon.tolist(), stats._pair_codes(raw, canon).tolist()):
+            for a in range(1, 6):
+                row, col = pair_cell(r[a - 1], r[a], bt[a - 1], bt[a])
+                assert stats._CODE36[idx[a - 1]] == (row * 4 + col) * 2 + a % 2
+                seen.add(idx[a - 1])
+        assert seen == set(range(36))
+
+    def test_int8_index_below_36_with_parity(self):
         mat = np.random.default_rng(4).integers(-1, 2, size=(300, 41), dtype=np.int8)
         sign = _signs(mat)
         work = mat[sign != 0] * sign[sign != 0, None]
         codes = stats._pair_codes(work, _canonicalize_matrix(work))
-        assert codes.dtype == np.uint8
+        assert codes.dtype == np.int8
         assert codes.shape == (work.shape[0], 40)
-        assert codes.max() < 48
+        assert codes.min() >= 0 and codes.max() < 36
         assert (codes % 2 == np.arange(1, 41) % 2).all()  # parity of a
 
     def test_width_one_has_no_codes(self):
         raw = np.ones((5, 1), dtype=np.int8)
         assert stats._pair_codes(raw, raw).shape == (5, 0)
+
+
+class TestPerRowCounts:
+    @pytest.mark.parametrize("n", [2, 3, 21, 2**16 + 2])
+    def test_matches_per_trial_moments(self, n):
+        # row counts that leave a short last piece of _PIECE_UNITS, or one row per
+        # piece and a short last slice of the row
+        per = stats._PIECE_UNITS // (n - 1 + 36)
+        size = (2 * per + 7 if per else 3, n)
+        mat = np.random.default_rng(n).integers(-1, 2, size=size, dtype=np.int8)
+        sign = _signs(mat)
+        mat = mat[sign != 0] * sign[sign != 0, None]
+        rows = mat.shape[0]
+        assert per == 0 or rows % per != 0
+        s1, s2 = stats._per_row_counts(stats._pair_codes(mat, _canonicalize_matrix(mat)))
+        cells = np.stack([naive_pair_cells(r) for r in mat])
+        counts, mean, stderr = per_trial_moments(cells, n)
+        flat = cells.reshape(rows, 48)
+        np.testing.assert_array_equal(s1, counts.ravel())
+        np.testing.assert_array_equal(s2, (flat * flat).sum(axis=0))
+        np.testing.assert_allclose(s1 / (rows * n), mean.ravel(), rtol=1e-12, atol=0)
+        var = (rows * s2 - s1.astype(float) ** 2) / (rows * (rows - 1))
+        np.testing.assert_allclose(np.sqrt(var) / (n * np.sqrt(rows)), stderr.ravel(),
+                                   rtol=1e-12, atol=0)
 
 
 class TestExhaustive:
@@ -277,7 +315,7 @@ class TestMonteCarlo:
         if n >= 2**16:
             # one trial per block: each trial draws alone from its own child
             np.testing.assert_array_equal(rows, per_trial_substream_rows(n, trials, seed))
-        cells = np.stack([count_pairs(r).cells for r in rows if r.any()])
+        cells = np.stack([row_cells(r) for r in rows if r.any()])
         counts, mean, stderr = per_trial_moments(cells, n)
         rep = monte_carlo_frequencies(n, trials, seed)
         assert rep.trials == len(cells)
@@ -343,6 +381,18 @@ class TestMonteCarlo:
         assert all(t <= d for t, d in zip(tallied, drawn))
         budget = max(stats._CHUNK_UNITS, block * (n + 48))
         assert all(rows * (n + 48) <= budget for rows in drawn)
+
+    def test_peak_memory_per_digit(self):
+        # one 10 x 100000 chunk: three reused int8 buffers and the sign's bool
+        # temporary, about 4 bytes a digit (10.1 with the int64 per-position offsets)
+        monte_carlo_frequencies(100000, 1, seed=2)
+        tracemalloc.start()
+        try:
+            monte_carlo_frequencies(100000, 10, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 10 * 100000
 
     @pytest.fixture
     def no_drawing(self, monkeypatch):
