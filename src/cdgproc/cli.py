@@ -110,18 +110,15 @@ def _check_cost(what: str, cost: int, limit: int, advice: str) -> None:
 
 # ----------------------------------------------------------------- evolve
 
-_EVOLVE_COLUMNS = ("step", "tvd", "entropy_bits", "support", "typical99")
-
-
 def cmd_evolve(args) -> int:
     if args.steps > MAX_TRACE_STEPS:
         raise ValueError(f"step count {args.steps} exceeds the trace limit {MAX_TRACE_STEPS}")
     params = ProcessParams(args.p, _parse_dist(args.dist))
     _check_cost("evolve", args.steps * params.modulus, MAX_EVOLVE_COST, "reduce --steps or --p")
     rows = dist_mod.evolve_with_trace(params, args.steps, args.delta)
-    trace = [dict(zip(_EVOLVE_COLUMNS, r)) for r in rows]
+    trace = [r._asdict() for r in rows]
     if args.format == "csv":
-        _emit(_csv(_EVOLVE_COLUMNS, trace), args.out)
+        _emit(_csv(dist_mod.TraceRow._fields, trace), args.out)
     else:
         _emit_json(
             {

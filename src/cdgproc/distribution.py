@@ -225,13 +225,13 @@ def evolve(params: ProcessParams, n: int) -> np.ndarray:
 
 
 class TraceRow(NamedTuple):
-    """Per-step functionals emitted by evolve_with_trace, in `cdg evolve`'s column order."""
+    """Per-step functionals of evolve_with_trace: `cdg evolve`'s columns, in order."""
 
     step: int
     tvd: float
     entropy_bits: float
     support: int
-    typical: int
+    typical99: int
 
 
 def evolve_with_trace(params: ProcessParams, n: int, delta: float = 0.01) -> list[TraceRow]:

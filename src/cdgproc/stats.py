@@ -1,27 +1,33 @@
-"""Adjacent-pair counts of standard forms, by exhaustive enumeration and Monte Carlo.
+"""Adjacent-pair counts of standard forms, exactly and by Monte Carlo.
 
 For a digit string with standard form bt, every position a in {1, ..., n-1}
 falls into one cell of the 6 x 4 pair table (see canonical.TABLE_LIMITS),
 additionally split by the parity of a.  This module counts those cells
-exactly over every first-1 string of small length (one contiguous range of
-the base-3 enumeration), and by seeded Monte Carlo for large lengths; it
-also measures the block-pattern events behind the pair counts.
+exactly over every first-1 string of small length, and by seeded Monte Carlo
+for large lengths; it also measures the block-pattern events behind the pair
+counts.
 
 A position's cell depends only on (b_{a-1}, b_a, bt_a) and the parity of a,
 since b_a and bt_a fix the carry.  So each position gets one of 36 int8 pair
 indices, built in place with no table gather, and the tallies are taken over
 the 36 indices and folded into the 48 cells exactly in int64.
 
+The exact counts need no enumeration.  In a first-1 string, s, the sign of
+the nearest nonzero digit right of a (0 if none), fixes the carry into a, so
+the window (b_{a-1}, b_a, s) and the parity of a fix the cell.  The window
+shows at a in suffixes(s) x (prefixes(a) + lead) first-1 strings: suffixes
+is 1 for s = 0, else (3^(n-1-a) - 1)/2; prefixes(a) = (3^(a-1) - 1)/2 counts
+the first-1 digits before a - 1; lead is 1 when the window's first nonzero
+digit is +1, so those digits may all be 0.  27 windows a position give every
+count.
+
 Monte Carlo draws one substream (process.substream, also the seed rule of
 the chain's sampler process.sample_endpoints) per block of about 2^16 digits
 of trials and keeps per-cell sums and sums of squares, so its memory does not
 grow with the trial count; its cost, trials x (n + 48), is checked before
-anything is drawn.  One chunk budget of 2^20 such units serves both modes: a
-Monte Carlo chunk is the most whole blocks within it (or one block), an
-exhaustive chunk the most enumerated rows (or one row), so neither mode's
-memory grows with the trial count or with 3^n.  Monte Carlo sweeps every
-chunk in the same three int8 buffers, and its peak is about 4 bytes a digit
-of one chunk.
+anything is drawn.  A chunk is the most whole blocks within a budget of 2^20
+such units (or one block), and every chunk is swept in the same three int8
+buffers, so the peak is about 4 bytes a digit of one chunk.
 
 All reports use the first-1 table orientation.  Statistics are identical
 under negation, so Monte Carlo negates first-minus-1 draws before counting,
@@ -30,7 +36,6 @@ and exhaustive mode counts the first-1 strings for either class.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,7 +69,9 @@ __all__ = [
     "monte_carlo_frequencies",
 ]
 
-#: exhaustive enumeration bound; 3^14 strings is the practical ceiling
+#: exhaustive length bound.  The window count costs O(n) at any n, so cost does not set
+#: it: 14 is the largest length pinned against enumeration, and raising it waits for a
+#: form of the counts above 2^63, which a cell passes from n = 40 on
 EXHAUSTIVE_MAX_N = 14
 
 _CELLS = 6 * 4 * 2
@@ -81,7 +88,7 @@ MAX_MC_COST = 1 << 32
 MAX_MC_LENGTH = 1 << 24
 #: a Monte Carlo substream covers about this many digits (whole rows, at least one)
 _BLOCK_DIGITS = 1 << 16
-#: a chunk of either mode holds at most this many MAX_MC_COST units (or one block or row)
+#: a Monte Carlo chunk holds at most this many MAX_MC_COST units (or one block)
 _CHUNK_UNITS = 1 << 20
 #: event_probabilities' empirical class histogram counts this many fresh strings
 EVENT_CLASS_TRIALS = 100_000
@@ -144,10 +151,6 @@ def _fold(per_index: np.ndarray) -> np.ndarray:
     cells = np.zeros(_CELLS, dtype=np.int64)
     np.add.at(cells, _CODE36, per_index)
     return cells
-
-
-def _aggregate_counts(codes: np.ndarray) -> np.ndarray:
-    return _fold(np.bincount(codes.ravel(), minlength=36)).reshape(6, 4, 2)
 
 
 def _col11_split(cells: np.ndarray) -> tuple:
@@ -277,32 +280,10 @@ class FrequencyReport:
         }
 
 
-@functools.cache
-def _all_strings(k: int) -> np.ndarray:
-    """All 3^k length-k strings in base-3 enumeration order, as read-only int8 rows.
-
-    Cached: every exhaustive chunk reads the same two tables.
-    """
-    pows = 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    rows = (np.arange(3**k, dtype=np.int64)[:, None] // pows % 3 - 1).astype(np.int8)
-    rows.flags.writeable = False
-    return rows
-
-
 def _digit_matrix(lo: int, hi: int, n: int) -> np.ndarray:
-    """Rows lo..hi-1 of the base-3 enumeration of all length-n strings.
-
-    Row i is the high digits of i // 3^h followed by the low digits of i % 3^h,
-    with h = n // 2.  The rows are filled block by block of 3^h from two small
-    tables, by broadcasting, for the whole blocks lo..hi-1 touches.
-    """
-    h = n // 2
-    block = 3**h
-    first, last = lo // block, -(-hi // block)
-    out = np.empty((last - first, block, n), dtype=np.int8)
-    out[:, :, : n - h] = _all_strings(n - h)[first:last, None]
-    out[:, :, n - h :] = _all_strings(h)
-    return out.reshape(-1, n)[lo - first * block : hi - first * block]
+    """Rows lo..hi-1 of the base-3 enumeration of all length-n strings, as int8 digits."""
+    pows = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (np.arange(lo, hi, dtype=np.int64)[:, None] // pows % 3 - 1).astype(np.int8)
 
 
 def exhaustive_expectations(
@@ -310,16 +291,18 @@ def exhaustive_expectations(
 ) -> FrequencyReport:
     """Exact conditional cell-frequency expectations over one class of length-n strings.
 
-    Row i of the base-3 enumeration has digits b_k with i - (3^n - 1)/2 =
-    sum b_k 3^(n-1-k), a balanced-ternary value whose sign is that of the
-    first nonzero digit.  So the (3^n - 1)/2 first-1 strings are exactly the
-    rows (3^n + 1)/2 .. 3^n - 1, and only those are enumerated.  The
-    first-minus-1 strings are their negations (row i maps to 3^n - 1 - i),
-    with the same counts in the first-1 orientation, so sequence_class only
-    sets the conditioning label.  Every string enters with equal weight; the
-    result is the brute-force oracle the Monte Carlo path is checked against.
-    The rows are tallied in chunks of the most rows whose rows x (n + 48) fits
-    in _CHUNK_UNITS, so the memory does not grow with 3^n.
+    Every one of the (3^n - 1)/2 first-1 strings enters with equal weight, so
+    a cell's count is the number of (string, position) pairs that fall into
+    it.  Position a shows the window (b_{a-1}, b_a, s), s the sign of the
+    nearest nonzero digit right of a (0 if none), in suffixes(s) x
+    (prefixes(a) + lead) first-1 strings: suffixes is 1 for s = 0, else
+    (3^(n-1-a) - 1)/2; prefixes(a) is (3^(a-1) - 1)/2; lead is 1 when the
+    window's first nonzero digit is +1.  The window and the parity of a fix
+    the cell, read once per window at position 2 of the first-1 string
+    (1, b_{a-1}, b_a, s) by the same sweep and pair index as Monte Carlo.
+    The first-minus-1 strings are the negations, with the same counts in the
+    first-1 orientation, so sequence_class only sets the conditioning label.
+    The result is the exact value the Monte Carlo path is checked against.
     """
     if n < 1:
         raise ValueError(f"length {n} must be at least 1")
@@ -328,19 +311,20 @@ def exhaustive_expectations(
     if sequence_class is SequenceClass.ALL_ZERO:
         raise ValueError("cannot condition on the all-zero class")
 
-    total = 3**n
-    chunk = max(1, _CHUNK_UNITS // (n + _CELLS))
-    counts = np.zeros((6, 4, 2), dtype=np.int64)
-    for lo in range((total + 1) // 2, total, chunk):
-        work = _digit_matrix(lo, min(lo + chunk, total), n)
-        counts += _aggregate_counts(_pair_codes(work, _canonicalize_matrix(work)))
-    used = (total - 1) // 2
+    windows = _digit_matrix(2 * 27, 3 * 27, 4)  # the 27 strings (1, b_{a-1}, b_a, s)
+    index = _pair_codes(windows, _canonicalize_matrix(windows))[:, 1].astype(np.intp)
+    lead = _first_nonzero_sign(windows[:, 1:]) == 1
+    nonzero_s = windows[:, 3] != 0
+    per_index = np.zeros(36, dtype=np.int64)
+    for a in range(1, n):
+        suffixes = np.where(nonzero_s, (3 ** (n - 1 - a) - 1) // 2, 1)
+        np.add.at(per_index, index + (a & 1), suffixes * ((3 ** (a - 1) - 1) // 2 + lead))
     return FrequencyReport(
         n=n,
         mode="exhaustive",
         conditioning=sequence_class.value,
-        trials=used,
-        counts=counts,
+        trials=(3**n - 1) // 2,
+        counts=_fold(per_index).reshape(6, 4, 2),
         freq_stderr=None,
     )
 
@@ -470,15 +454,10 @@ def event_probabilities(horizon: int, trials: int, seed) -> BlockEventReport:
     minus_freqs = np.empty(trials)
     for t in range(trials):
         rng = substream(root, t)
-        parts = [rng.integers(-1, 2, size=4 * need_ones + 64, dtype=np.int8)]
-        ones_seen = int((parts[0] == 1).sum())
-        while ones_seen < need_ones:
-            more = rng.integers(
-                -1, 2, size=4 * (need_ones - ones_seen) + 64, dtype=np.int8
-            )
-            ones_seen += int((more == 1).sum())
-            parts.append(more)
-        d = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        d = np.empty(0, dtype=np.int8)
+        while (seen := int((d == 1).sum())) < need_ones:
+            d = np.concatenate((d, rng.integers(-1, 2, size=4 * (need_ones - seen) + 64,
+                                                dtype=np.int8)))
         ones = np.flatnonzero(d == 1)[:need_ones]
         starts, ends = ones[:-1], ones[1:]
         is_single = (ends - starts) == 1

@@ -324,7 +324,7 @@ class TestTrace:
         rows = evolve_with_trace(ProcessParams(101), 0)
         assert len(rows) == 1
         r = rows[0]
-        assert (r.step, r.entropy_bits, r.support, r.typical) == (0, 0.0, 1, 1)
+        assert (r.step, r.entropy_bits, r.support, r.typical99) == (0, 0.0, 1, 1)
         assert r.tvd == pytest.approx(1 - 1 / 101, abs=1e-15)
 
     def test_p3_one_step(self):
@@ -332,7 +332,7 @@ class TestTrace:
         r = rows[1]
         assert r.tvd == pytest.approx(0.0, abs=1e-15)
         assert r.entropy_bits == pytest.approx(math.log2(3), rel=1e-12)
-        assert (r.support, r.typical) == (3, 3)
+        assert (r.support, r.typical99) == (3, 3)
 
     def test_trace_matches_direct_functionals(self):
         params = ProcessParams(31)
@@ -340,7 +340,7 @@ class TestTrace:
         assert len(rows) == 8
         dist = evolve(params, 7)
         assert rows[-1].tvd == pytest.approx(tvd_uniform(dist), abs=1e-15)
-        assert rows[-1].typical == typical_set_size(dist, 0.05)
+        assert rows[-1].typical99 == typical_set_size(dist, 0.05)
 
     @pytest.mark.parametrize("p", [5, 31, 33, 1021])
     def test_every_row_matches_functionals_of_evolve(self, p):
@@ -351,7 +351,7 @@ class TestTrace:
             assert row.tvd == pytest.approx(tvd_uniform(dist), abs=1e-15)
             assert row.entropy_bits == pytest.approx(entropy_bits(dist), rel=1e-13, abs=1e-15)
             assert row.support == support_size(dist)
-            assert row.typical == typical_set_size(dist, 0.05)
+            assert row.typical99 == typical_set_size(dist, 0.05)
 
 
 #: the tvd thresholds of `cdg scan`
@@ -601,7 +601,7 @@ class TestMirrored:
                                                                  rel=1e-13, abs=1e-15)
 
 
-#: (p, steps, law) -> (typical, support) columns of evolve_with_trace, recorded
+#: (p, steps, law) -> (typical99, support) columns of evolve_with_trace, recorded
 #: with the full-sort typical set and the whole-vector support count
 PINNED_COLUMNS = {
     (10007, 30, (1 / 3, 1 / 3, 1 / 3)): (
@@ -624,7 +624,7 @@ def test_pinned_integer_columns(key):
     p, steps, q = key
     rows = evolve_with_trace(ProcessParams(p, IncrementDistribution(*q)), steps)
     typical, support = PINNED_COLUMNS[key]
-    assert [r.typical for r in rows] == typical
+    assert [r.typical99 for r in rows] == typical
     assert [r.support for r in rows] == support
 
 

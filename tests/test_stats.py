@@ -47,6 +47,25 @@ PINNED_MC = {
 }
 
 
+# n -> the 48 exhaustive counts, recorded by enumerating every first-1 string of length n
+PINNED_EXHAUSTIVE = {
+    13: [0, 0, 0, 0, 332152, 332152, 232504, 298934, 531438, 531438, 498226, 431796,
+         498226, 431796, 498226, 431796, 232504, 298934, 332152, 332152, 0, 0, 0, 0,
+         0, 0, 0, 0, 298934, 232504, 199292, 199292, 0, 0, 232504, 298934,
+         0, 0, 332152, 332152, 232504, 298934, 332152, 332152, 0, 0, 0, 0],
+    14: [0, 0, 0, 0, 896808, 1228959, 797160, 930020, 1594320, 1860040, 1494678, 1561108,
+         1494678, 1561108, 1494678, 1561108, 797160, 930020, 896808, 1228959, 0, 0, 0, 0,
+         0, 0, 0, 0, 797160, 930020, 697518, 631088, 0, 0, 797160, 930020,
+         0, 0, 896808, 1228959, 797160, 930020, 896808, 1228959, 0, 0, 0, 0],
+}
+
+CLASSES = pytest.mark.parametrize(
+    "cls, sign",
+    [(SequenceClass.FIRST_ONE, 1), (SequenceClass.FIRST_MINUS_ONE, -1)],
+    ids=["first_one", "first_minus_one"],
+)
+
+
 def _signs(mat):
     first = (mat != 0).argmax(axis=1)
     return mat[np.arange(mat.shape[0]), first]
@@ -56,7 +75,8 @@ def row_cells(digits):
     """The library's cell counts of one nonzero string, tallied as a one-row matrix."""
     row = np.asarray(digits, dtype=np.int8)[None, :]
     row = row * _signs(row)[:, None]
-    return stats._aggregate_counts(stats._pair_codes(row, _canonicalize_matrix(row)))
+    codes = stats._pair_codes(row, _canonicalize_matrix(row))
+    return stats._fold(np.bincount(codes.ravel(), minlength=36)).reshape(6, 4, 2)
 
 
 class TestCountPairs:
@@ -196,10 +216,8 @@ class TestExhaustive:
         ]
         assert (devs[1] < devs[0]).all() and (devs[2] < devs[1]).all()
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    @pytest.mark.parametrize("cls, sign", [(SequenceClass.FIRST_ONE, 1),
-                                           (SequenceClass.FIRST_MINUS_ONE, -1)],
-                             ids=["first_one", "first_minus_one"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    @CLASSES
     def test_counts_match_naive_oracle(self, n, cls, sign):
         # pure-Python cells over every string of the class, no library counting code
         mat = all_digit_matrix(n)
@@ -207,6 +225,26 @@ class TestExhaustive:
         rep = exhaustive_expectations(n, cls)
         assert rep.trials == len(rows)
         np.testing.assert_array_equal(rep.counts, sum(naive_pair_cells(r) for r in rows))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @CLASSES
+    def test_counts_match_enumeration(self, n, cls, sign):
+        # every string of the class, turned first-1, through the sweep and the pair tally
+        mat = all_digit_matrix(n)
+        rows = mat[_signs(mat) == sign] * np.int8(sign)
+        codes = stats._pair_codes(rows, _canonicalize_matrix(rows))
+        rep = exhaustive_expectations(n, cls)
+        assert rep.trials == len(rows)
+        np.testing.assert_array_equal(
+            rep.counts.ravel(), stats._fold(np.bincount(codes.ravel(), minlength=36))
+        )
+
+    @pytest.mark.parametrize("n", sorted(PINNED_EXHAUSTIVE))
+    @CLASSES
+    def test_counts_pinned(self, n, cls, sign):
+        rep = exhaustive_expectations(n, cls)
+        assert rep.trials == (3**n - 1) // 2
+        assert rep.counts.ravel().tolist() == PINNED_EXHAUSTIVE[n]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_first_one_strings_are_the_upper_index_range(self, n):
@@ -222,7 +260,7 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_digit_matrix_on_unaligned_ranges(self, n):
-        # ranges that start and end inside a block of 3^(n // 2) rows, the table split
+        # ranges with unaligned ends, against the oracle's enumeration of every string
         mat = all_digit_matrix(n)
         for lo in {0, 1, 3 ** (n // 2) - 1, (3**n + 1) // 2}:
             for hi in {lo + 1, 3**n}:
@@ -230,32 +268,8 @@ class TestExhaustive:
                 assert rows.dtype == np.int8
                 np.testing.assert_array_equal(rows, mat[lo:hi])
 
-    def test_digit_matrix_chunk_ends_at_n14(self, monkeypatch):
-        # first and last row of every chunk exhaustive_expectations(14) enumerates,
-        # against base-3 digits of the row index taken with Python integers
-        ends = []
-        digit_matrix = stats._digit_matrix
-
-        def spy(lo, hi, n):
-            rows = digit_matrix(lo, hi, n)
-            ends.append((lo, hi, rows[0].tolist(), rows[-1].tolist()))
-            return rows
-
-        monkeypatch.setattr(stats, "_digit_matrix", spy)
-        exhaustive_expectations(14)
-        # the budget's chunks: 142 of 16912 rows for the 2391484 first-1 strings
-        used, rows = (3**14 - 1) // 2, stats._CHUNK_UNITS // (14 + stats._CELLS)
-        assert len(ends) == -(-used // rows)
-        assert ends[0][0] == (3**14 + 1) // 2 and ends[-1][1] == 3**14
-        assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
-        for lo, hi, first, last in ends:
-            assert first == [lo // 3 ** (13 - k) % 3 - 1 for k in range(14)]
-            assert last == [(hi - 1) // 3 ** (13 - k) % 3 - 1 for k in range(14)]
-
     def test_peak_memory_does_not_grow_with_3_to_the_n(self):
-        # chunks of at most _CHUNK_UNITS units: n = 13 enumerates three times the rows
-        # of n = 12 in chunks of about the same size (the 3^12-row chunks peaked at
-        # 61 MB against 28 MB)
+        # 27 windows a position and no enumerated rows: about 7 KB at any n
         def peak(n):
             tracemalloc.start()
             try:
@@ -265,7 +279,7 @@ class TestExhaustive:
                 tracemalloc.stop()
 
         exhaustive_expectations(3)
-        assert peak(13) <= peak(12) + (1 << 19)
+        assert max(peak(n) for n in (12, 13, 14)) <= 1 << 16
 
     def test_minus_class_matches_by_negation(self):
         a = exhaustive_expectations(8, SequenceClass.FIRST_ONE)

@@ -2,8 +2,8 @@
 
 perfbench/tracing.py wraps module-level names of cdgproc for its traced runs;
 a refactor that renames one fails here in seconds rather than only in the
-traced benchmark run.  A traced scan checks that the walk's calls still go
-through those names.
+traced benchmark run.  A traced scan and a traced exhaustive count check
+that their calls still go through those names.
 """
 
 import importlib
@@ -46,3 +46,19 @@ def test_scan_spans_follow_every_step():
     last = max(row[c] for c in ("cross_075", "cross_050", "cross_025", "cross_005"))
     walk = [s.name for s in tracer.spans if s.name in ("distribution.step", "distribution.tvd")]
     assert walk == ["distribution.step", "distribution.tvd"] * last
+
+
+def test_exhaustive_spans_sweep_the_windows_once():
+    # the exact count builds, sweeps and indexes its 27 windows once, through the
+    # module globals of stats, whatever the length
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        code, out, err = tracing.run_inprocess(
+            ["stats", "--mode", "exhaustive", "--n", "8", "--format", "json"], tracer)
+    assert code == 0, err
+    assert json.loads(out)["trials"] == (3**8 - 1) // 2
+    names = [s.name for s in tracer.spans]
+    for name in ("stats.enumerate", "canonical.sweep", "stats.pair_codes"):
+        assert names.count(name) == 1, name
+    sweep, = (s for s in tracer.spans if s.name == "canonical.sweep")
+    assert sweep.counts["digits"] == 27 * 4
