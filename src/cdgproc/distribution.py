@@ -6,16 +6,17 @@ b in {-1, 0, 1}; since each map is a permutation of Z/pZ this is exact up
 to float rounding, and the uniform vector is stationary.
 
 `iter_evolve` is the one evolution loop.  Before reduction mod p the endpoint
-after k steps is an integer in [-w_k, w_k], w_0 = 0, w_{k+1} = 2*w_k + 1 (the
-trivial support bound), so while the next window has fewer than p values only
-that window is evolved; it is embedded into the dense vector once, at the switch.
-Under a symmetric law (q+ = q-) x and -x have the same mass at every step, so
-the walk holds only the integers 0..w, then the residues 0..(p - 1)/2: the
-mirrored half.  The trace functionals read it with `mirrored=True`, which
-counts every mass but residue 0's twice, and `evolve` unfolds it into the
-dense vector.  Only this module knows that layout: `evolve`, `evolve_with_trace`
-and `first_crossings` read the walk for every caller in the package.  Windows
-and dense vectors live in prefixes of two buffers of the dense length, p or
+after k steps is an integer in [-(2^k - 1), 2^k - 1] (the trivial support
+bound), and these integers are distinct mod P_k = 2^(k+1) - 1.  So while P_k
+is below p the walk mod p is the walk mod P_k, and `iter_evolve` steps a
+residue vector mod P = min(P_k, p), grown by `_embed` before each step until
+P = p.  Under a symmetric law (q+ = q-) x and -x have the same mass at every
+step, so the walk holds only the residues 0..(P - 1)/2: the mirrored half.
+The trace functionals read it with `mirrored=True`, which counts every mass
+but residue 0's twice, and `evolve` unfolds it into the dense vector.  Only
+this module knows that layout: `evolve`, `evolve_with_trace` and
+`first_crossings` read the walk for every caller in the package.  Every
+vector lives in a prefix of one of two buffers of the dense length, p or
 (p + 1)/2, that the steps ping-pong between, so under a symmetric law the
 walk holds one p-vector's worth in all.  A step reads the old masses and
 writes the new ones `_STEP_BLOCK` output pairs at a time through one small
@@ -99,43 +100,31 @@ def _apply_step(
     dist: np.ndarray, params: ProcessParams, out: np.ndarray, scratch: np.ndarray,
     mirrored: bool = False,
 ) -> np.ndarray:
-    """One step of `dist` written into `out`, which is returned; `dist` is only read.
+    """One step mod P of `dist` written into `out`, which is returned; `dist` is only read.
 
-    new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod p), where d lays
-    the old masses out in the order the step sends them:
-    - a `dist` shorter than `out` is a window: it holds the integers -w..w and
-      `out` the integers -(2*w + 1)..(2*w + 1), so d[2*i + 1] = dist[i] and the
-      even d are 0;
-    - otherwise both are dense, and with h = (p + 1)/2, d[2*j] = dist[j] and
-      d[2*j + 1] = dist[h + j].
-    A `mirrored` `dist` holds the masses of 0..w (a window, `out` those of
-    0..2*w + 1, and d[2*i] = dist[i], the odd d 0) or of residues 0..h - 1
-    (dense, `out` the same residues), and x and -x have the same mass.  Dense,
-    d[2*j] = dist[j], d[2*j + 1] = dist[h - 1 - j] and d[-1] = dist[h - 1].
-    Each output is then added in the order of the full step, so for a law
-    with q+ = q- the masses are those the full step gives these residues.
+    `dist` and `out` have the same length: P, or under `mirrored` the
+    residues 0..h - 1 of P = 2*h - 1, whose negatives have the same masses.
+    new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod P), where d lays
+    the old masses out in the order the step sends them: with h = (P + 1)/2,
+    d[2*j] = dist[j] and d[2*j + 1] = dist[h + j], or when `mirrored`
+    d[2*j + 1] = dist[h - 1 - j] and d[-1] = dist[h - 1].  Each output is
+    added in the order of the full step, so for a law with q+ = q- the
+    mirrored masses are those the full step gives these residues.
     d is never built whole.  For each block of `_STEP_BLOCK` output pairs
     (new[2*j], new[2*j + 1]), the d[2*j - 1 .. 2*k] it reads are spread into
     `scratch`, and the three products are added straight into that block of
-    `out`; the last one or two outputs are scalar sums.  `scratch` holds
+    `out`; the last output, if any, is a scalar sum.  `scratch` holds
     4 * `_STEP_BLOCK` + 2 values.
     """
     q = params.increments
     d, t = scratch[: 2 * _STEP_BLOCK + 2], scratch[2 * _STEP_BLOCK + 2 :]
-    zeros = np.broadcast_to(0.0, dist.size + 1)
-    # even[i] = d[2*i], odd[i] = d[2*i + 1] and first = d[-1]; each tail entry is
-    # (d[y], d[y - 1], d[y + 1]) of an output y past the pairs
-    if out.size != dist.size and mirrored:
-        even, odd, first, pairs = dist, zeros, 0.0, dist.size - 1
-        tail = [(dist[-1], 0.0, 0.0), (0.0, dist[-1], 0.0)]
-    elif out.size != dist.size:
-        even, odd, first, pairs = zeros, dist, 0.0, dist.size
-        tail = [(0.0, dist[-1], 0.0)]
-    elif mirrored:
+    # even[i] = d[2*i], odd[i] = d[2*i + 1] and first = d[-1]; the tail entry is
+    # (d[y], d[y - 1], d[y + 1]) of the output y past the pairs
+    if mirrored:
         even, odd, first, pairs = dist, dist[::-1], dist[-1], dist.size // 2
         tail = [(dist[pairs], dist[pairs + 1], dist[pairs])] if dist.size % 2 else []
     else:
-        h = (out.size + 1) // 2
+        h = (dist.size + 1) // 2
         even, odd, first, pairs = dist[:h], dist[h:], dist[h - 1], h - 1
         tail = [(even[-1], odd[-1], even[0])]
     for j in range(0, pairs, _STEP_BLOCK):
@@ -152,36 +141,35 @@ def _apply_step(
     return out
 
 
-def _embed(
-    mass: np.ndarray, p: int, out: np.ndarray | None = None, mirrored: bool = False
-) -> np.ndarray:
-    """The dense vector of a window (integers -w..w), written into `out` if given.
+def _embed(mass: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """A residue vector mod P = `mass.size` <= p as one mod p, written into `out` if given.
 
-    A `mirrored` `mass` holds the masses of 0..m - 1, a window or the dense
-    half, and those of -(m - 1)..-1 are the same.  A dense `mass` is returned
-    as is.
+    The residues 0..(P - 1)/2 stand for themselves and the rest for the
+    negative integers -(P - 1)/2..-1, which are distinct mod p; every other
+    residue gets 0.  A vector mod p is returned as is.
     """
     if mass.size == p:
         return mass
-    w = mass.size // 2
-    low, high = (mass, mass[:0:-1]) if mirrored else (mass[w:], mass[:w])
+    h = (mass.size + 1) // 2
     dense = np.empty(p) if out is None else out
-    dense[: low.size], dense[low.size : p - high.size], dense[p - high.size :] = low, 0.0, high
+    gap = p - mass.size + h  # the first negative residue mod p
+    dense[:h], dense[h:gap], dense[gap:] = mass[:h], 0.0, mass[h:]
     return dense
 
 
 def iter_evolve(params: ProcessParams, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k, mass) for k = 0..n, starting from the point mass at 0.
 
-    A `mass` shorter than p holds the integers -w..w in order (the window
-    phase); every other residue has mass 0, which the functionals allow for
-    (pass p to `tvd_uniform`).  Otherwise `mass` is the dense vector.  Under a
-    symmetric law (q+ = q-) x and -x have the same mass at every step, and
-    `mass` holds only the integers 0..w, or the residues 0..(p - 1)/2: pass
-    `mirrored=True` to the functionals; `evolve` returns the whole vector.
-    Either way `mass` is a view of one of two buffers of its dense length,
-    which the next step may overwrite: copy it to keep it.  These two buffers
-    and one block buffer are all the walk allocates.
+    `mass` is the residue vector mod P = min(2^(k+1) - 1, p): below p it
+    holds every integer the walk can reach, so every residue mod p it leaves
+    out has mass 0, which the functionals allow for (pass p to
+    `tvd_uniform`), and `_embed` gives the dense vector.  Under a symmetric
+    law (q+ = q-) x and -x have the same mass at every step, and `mass`
+    holds only the residues 0..(P - 1)/2: pass `mirrored=True` to the
+    functionals; `evolve` returns the whole vector.  Either way `mass` is a
+    view of one of two buffers of its dense length, which the next step may
+    overwrite: copy it to keep it.  These two buffers and one block buffer
+    are all the walk allocates.
     """
     if n < 0:
         raise ValueError(f"step count {n} is negative")
@@ -190,18 +178,18 @@ def iter_evolve(params: ProcessParams, n: int) -> Iterator[tuple[int, np.ndarray
     mirrored = params.increments.is_symmetric
     dense = (p + 1) // 2 if mirrored else p
     held, free, scratch = np.empty(dense), np.empty(dense), _step_buffer()
-    mass = held[:1]
+    mass, modulus = held[:1], 1
     mass[0] = 1.0
     yield 0, mass
     for k in range(1, n + 1):
-        size = 2 * mass.size + (0 if mirrored else 1)
-        if mass.size < dense <= size:  # the switch: the next window would not fit
-            if mirrored:  # the integers 0..w are the residues 0..w
-                held[mass.size :] = 0.0
-                mass = held
+        if modulus < p:  # grow the vector to the next modulus
+            modulus = min(2 * modulus + 1, p)
+            if mirrored:  # the residues 0..(P - 1)/2 keep their masses
+                held[mass.size : (modulus + 1) // 2] = 0.0
+                mass = held[: (modulus + 1) // 2]
             else:
-                mass, held, free = _embed(mass, p, free), free, held
-        out = free[: min(size, dense)]
+                mass, held, free = _embed(mass, modulus, free[:modulus]), free, held
+        out = free[: mass.size]
         mass, held, free = _apply_step(mass, params, out, scratch, mirrored), free, held
         yield k, mass
 
@@ -221,7 +209,9 @@ def evolve(params: ProcessParams, n: int) -> np.ndarray:
     """Distribution after n steps from the point mass at 0."""
     for _, mass in iter_evolve(params, n):
         pass
-    return _embed(mass, params.modulus, mirrored=params.increments.is_symmetric)
+    if params.increments.is_symmetric:
+        mass = np.concatenate((mass, mass[:0:-1]))
+    return _embed(mass, params.modulus)
 
 
 class TraceRow(NamedTuple):

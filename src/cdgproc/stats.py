@@ -25,9 +25,8 @@ Monte Carlo draws one substream (process.substream, also the seed rule of
 the chain's sampler process.sample_endpoints) per block of about 2^16 digits
 of trials and keeps per-cell sums and sums of squares, so its memory does not
 grow with the trial count; its cost, trials x (n + 48), is checked before
-anything is drawn.  A chunk is the most whole blocks within a budget of 2^20
-such units (or one block), and every chunk is swept in the same three int8
-buffers, so the peak is about 4 bytes a digit of one chunk.
+anything is drawn.  Every block is swept in the same two int8 buffers, so
+the peak is about 4 bytes a digit of one block.
 
 All reports use the first-1 table orientation.  Statistics are identical
 under negation, so Monte Carlo negates first-minus-1 draws before counting,
@@ -82,14 +81,12 @@ _CELLS = 6 * 4 * 2
 #: at n = 100 to 1000, 10.0 at n = 100000 and 11.1 at n = 2^16 (one trial per
 #: substream), so the largest accepted input takes about 1 minute.
 MAX_MC_COST = 1 << 32
-#: one row is the smallest chunk, so n alone sets the Monte Carlo memory: about
-#: 4 bytes a digit of one chunk (three int8 buffers, then the draw or the
-#: sign's bool temporary), 64 MiB at this length
+#: one row is the smallest block, so n alone sets the Monte Carlo memory: about
+#: 4 bytes a digit of one block (the draw, two int8 buffers and the sign's
+#: bool temporary), 64 MiB at this length
 MAX_MC_LENGTH = 1 << 24
 #: a Monte Carlo substream covers about this many digits (whole rows, at least one)
 _BLOCK_DIGITS = 1 << 16
-#: a Monte Carlo chunk holds at most this many MAX_MC_COST units (or one block)
-_CHUNK_UNITS = 1 << 20
 #: event_probabilities' empirical class histogram counts this many fresh strings
 EVENT_CLASS_TRIALS = 100_000
 #: the length of those strings, whose exact class probability is reported beside them
@@ -165,7 +162,7 @@ def _per_row_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes are pair indices (see _pair_codes).  A piece of whole rows within
     _PIECE_UNITS is offset by 36 a row into one intp buffer and tallied by one
     bincount into rows x 36 counts; a longer row is counted in slices.  So no
-    temporary grows with the chunk or the row, and no int64 copy of every
+    temporary grows with the block or the row, and no int64 copy of every
     position is made.  A cell's count is the sum of its
     indices' counts, so its square is their squares plus twice the product of
     its _SHARED pair; both fold into the 48 cells exactly in int64.  Both
@@ -336,11 +333,10 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
     standard-form pair analysis.  Trials come in blocks of
     B = max(1, 2^16 // n) rows; block b is one draw from child b of
     SeedSequence(seed).spawn(ceil(trials / B)), so the result depends only on
-    (seed, n, trial index), never on chunking.  A chunk is the most whole
-    blocks (at least one) whose rows x (n + 48) fits in _CHUNK_UNITS, and is
-    tallied into per-cell sums and sums of squares, so the memory does not
-    grow with trials.  All-zero draws are discarded; first-minus-1 draws are
-    negated in place and pooled with first-1 draws.
+    (seed, n, trial index).  Each block is tallied into per-cell sums and sums
+    of squares, so the memory does not grow with trials.  All-zero draws are
+    discarded; first-minus-1 draws are negated in place and pooled with
+    first-1 draws.
     """
     if n < 2:
         raise ValueError(f"length {n} must be at least 2")
@@ -356,21 +352,15 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
 
     root = np.random.SeedSequence(seed)
     block = max(1, _BLOCK_DIGITS // n)
-    per_chunk = block * max(1, _CHUNK_UNITS // (block * (n + _CELLS)))
     s1 = np.zeros(_CELLS, dtype=np.int64)
     s2 = np.zeros(_CELLS, dtype=np.int64)
     used = 0
-    # every chunk is swept in these three buffers: fresh pages for each chunk took
-    # about 0.1 s of 0.5 s at 600 rows of 100000 digits
-    draws, canon, scratch = (np.empty((min(per_chunk, trials), n), dtype=np.int8) for _ in range(3))
-    for lo in range(0, trials, per_chunk):
-        hi = min(lo + per_chunk, trials)
-        mat = draws[: hi - lo]
-        for start in range(lo, hi, block):
-            rows = min(block, hi - start)
-            mat[start - lo : start - lo + rows] = substream(root, start // block).integers(
-                -1, 2, size=(rows, n), dtype=np.int8
-            )
+    # every block is swept in these two buffers: fresh pages for each chunk of
+    # 10 rows took about 0.1 s of 0.5 s at 600 rows of 100000 digits
+    canon, scratch = (np.empty((min(block, trials), n), dtype=np.int8) for _ in range(2))
+    for b, lo in enumerate(range(0, trials, block)):
+        rows = min(block, trials - lo)
+        mat = substream(root, b).integers(-1, 2, size=(rows, n), dtype=np.int8)
         sign = _first_nonzero_sign(mat)
         mat *= sign[:, None]
         if not sign.all():

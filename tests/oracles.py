@@ -6,7 +6,7 @@ expansion, distributions from direct enumeration of all increment strings,
 pair cells from a hand-written classification, trace functionals from a full
 sort and whole-vector numpy formulas, Fourier coefficients of the exact law
 from the Chung-Diaconis-Graham product, and whole vectors of mirrored halves
-from an index map.
+and dense vectors of residue vectors from index maps.
 """
 
 from __future__ import annotations
@@ -213,11 +213,24 @@ def masked_entropy_bits(dist) -> float:
     return float(-(m * np.log2(m)).sum() + 0.0)
 
 
-def fourier_coefficient(mass, p: int, xi: int) -> complex:
-    """sum_x mass[x] e^(2 pi i xi x / p) of a dense vector, or of a window of the integers -w..w."""
+def residue_integers(m: int) -> np.ndarray:
+    """The integer each residue 0..m - 1 mod an odd m stands for: r, or r - m above (m - 1)/2."""
+    r = np.arange(m, dtype=np.int64)
+    return np.where(2 * r < m, r, r - m)
+
+
+def dense_vector(mass, p: int) -> np.ndarray:
+    """The p-vector of a residue vector mod m <= p, by its integers reduced mod p."""
     mass = np.asarray(mass, dtype=np.float64)
-    w = mass.size // 2 if mass.size < p else 0
-    x = np.arange(mass.size, dtype=np.int64) - w
+    out = np.zeros(p)
+    out[residue_integers(mass.size) % p] = mass
+    return out
+
+
+def fourier_coefficient(mass, p: int, xi: int) -> complex:
+    """sum_x mass[x] e^(2 pi i xi x / p) of a residue vector mod its length m <= p."""
+    mass = np.asarray(mass, dtype=np.float64)
+    x = residue_integers(mass.size)
     return complex(np.sum(mass * np.exp(2j * np.pi * ((x * xi) % p) / p)))
 
 
@@ -236,21 +249,12 @@ def fourier_product(q, n: int, p: int, xi: int) -> complex:
     return out
 
 
-def unfold_mirrored(half, p: int, dense: bool = False) -> np.ndarray:
+def unfold_mirrored(half) -> np.ndarray:
     """The vector a mirrored half stands for, in which x and -x have the same mass.
 
-    (p + 1)/2 values are the residues 0..(p - 1)/2 and give the dense p-vector,
-    read back by index min(x, p - x).  Fewer values are the integers 0..w and
-    give the window of -w..w, or with `dense` its p-vector.
+    m values are the residues 0..m - 1 mod P = 2*m - 1 and give the residue
+    vector mod P, read back by index min(x, P - x).
     """
     half = np.asarray(half, dtype=np.float64)
-    if half.size == (p + 1) // 2:
-        x = np.arange(p)
-        return half[np.minimum(x, p - x)]
-    window = np.concatenate((half[:0:-1], half))
-    if not dense:
-        return window
-    w = half.size - 1
-    out = np.zeros(p)
-    out[np.arange(-w, w + 1) % p] = window
-    return out
+    x = np.arange(2 * half.size - 1)
+    return half[np.minimum(x, x[-1] + 1 - x)]

@@ -13,6 +13,7 @@ from cdgproc.distribution import (
     _SORT_MAX,
     _STEP_BLOCK,
     _apply_step,
+    _embed,
     _step_buffer,
     MAX_MODULUS,
     ModulusMismatchError,
@@ -32,6 +33,7 @@ from cdgproc.distribution import (
 from cdgproc.process import IncrementDistribution, ProcessParams
 from oracles import (
     brute_force_distribution,
+    dense_vector,
     fourier_coefficient,
     fourier_product,
     masked_entropy_bits,
@@ -215,14 +217,29 @@ class TestIterEvolve:
         sizes = [mass.size for _, mass in iter_evolve(ProcessParams(63), 6)]
         assert sizes == [1, 2, 4, 8, 16, 32, 32]
 
-    def test_window_order_is_integer_order(self):
-        # after two steps the window holds the integers -3..3, or under a symmetric law 0..3
+    def test_window_order_is_residue_order(self):
+        # after two steps the walk is mod 7: residues 0..3 are the integers 0..3 and
+        # residues 4..6 the integers -3..-1; under a symmetric law it holds 0..3
         _, mass = list(iter_evolve(ProcessParams(101), 2))[-1]
         np.testing.assert_allclose(mass * 9, [1, 2, 1, 1])
-        np.testing.assert_allclose(unfold_mirrored(mass, 101) * 9, [1, 1, 2, 1, 2, 1, 1])
+        np.testing.assert_allclose(unfold_mirrored(mass) * 9, [1, 2, 1, 1, 1, 1, 2])
         law = IncrementDistribution(0.2, 0.5, 0.3)
         _, mass = list(iter_evolve(ProcessParams(101, law), 2))[-1]
-        np.testing.assert_allclose(mass, [0.04, 0.1, 0.16, 0.25, 0.21, 0.15, 0.09])
+        np.testing.assert_allclose(mass, [0.25, 0.21, 0.15, 0.09, 0.04, 0.1, 0.16])
+
+    @pytest.mark.parametrize("q", [(1 / 3, 1 / 3, 1 / 3), (0.2, 0.5, 0.3)])
+    def test_window_phase_is_the_walk_mod_its_modulus(self, q):
+        # the integers -(2^k - 1)..2^k - 1 reached in k steps are distinct mod
+        # 2^(k+1) - 1, so below p step k is the walk mod that modulus; 4B + 1 and
+        # 4B - 1 (B the step's block) make the last steps span several blocks
+        law = IncrementDistribution(*q)
+        for p in (1048573, 4 * _STEP_BLOCK + 1, 4 * _STEP_BLOCK - 1):
+            for k, mass in iter_evolve(ProcessParams(p, law), 12):
+                if k:
+                    expected = evolve(ProcessParams(2 ** (k + 1) - 1, law), k)
+                    if law.is_symmetric:  # the half holds residues 0..2^k - 1
+                        expected = expected[: 2**k]
+                    np.testing.assert_array_equal(mass, expected)
 
     def test_yields_every_step(self):
         assert [k for k, _ in iter_evolve(ProcessParams(31), 12)] == list(range(13))
@@ -518,7 +535,7 @@ class TestBlockedFunctionals:
         params = ProcessParams(p, IncrementDistribution(*q))
         mirrored = params.increments.is_symmetric
         for _, mass in iter_evolve(params, 24):
-            whole = unfold_mirrored(mass, p) if mirrored else mass
+            whole = unfold_mirrored(mass) if mirrored else mass
             for delta in (1e-300, 1e-12, 0.01, 0.3, 0.5, 0.99):
                 assert (typical_set_size(mass, delta, mirrored=mirrored)
                         == sorted_typical_set_size(whole, delta))
@@ -539,7 +556,7 @@ class TestMirrored:
             params = ProcessParams(p, IncrementDistribution(*q))
             before = None
             for k, mass in iter_evolve(params, 20):
-                whole = unfold_mirrored(mass, p, dense=True)
+                whole = dense_vector(unfold_mirrored(mass), p)
                 if before is not None:
                     full = step(before, params)
                     np.testing.assert_array_equal(whole[: (p + 1) // 2], full[: (p + 1) // 2])
@@ -549,18 +566,20 @@ class TestMirrored:
 
     @pytest.mark.parametrize("q", SYMMETRIC_LAWS)
     def test_one_half_step_of_a_symmetric_vector(self, q):
-        # a random symmetric input, dense and as a window, across block edges
+        # a random symmetric input, mod p and mod a smaller P, across block edges
         rng = np.random.default_rng(18)
         for p in STEP_EDGE_MODULI:
             params, h = ProcessParams(p, IncrementDistribution(*q)), (p + 1) // 2
             half = rng.random(h)
             out = _apply_step(half, params, np.empty(h), _step_buffer(), mirrored=True)
-            np.testing.assert_array_equal(out, step(unfold_mirrored(half, p), params)[:h])
-            # windows of 0..w whose step, of 0..2*w + 1, stays below (p - 1)/2
+            np.testing.assert_array_equal(out, step(unfold_mirrored(half), params)[:h])
+            # halves of 0..m - 1 mod 2*m - 1 grown to mod P = 4*m - 1 < p, where
+            # the step of the integers 0..m - 1 does not wrap
             for m in [m for m in (1, 2, 3, _STEP_BLOCK, _STEP_BLOCK + 1, h // 2) if 2 * m < h]:
-                window = rng.random(m)
-                out = _apply_step(window, params, np.empty(2 * m), _step_buffer(), mirrored=True)
-                expected = step(unfold_mirrored(window, p, dense=True), params)
+                grown = _embed(unfold_mirrored(rng.random(m)), 4 * m - 1)
+                out = _apply_step(grown[: 2 * m], params, np.empty(2 * m), _step_buffer(),
+                                  mirrored=True)
+                expected = step(dense_vector(grown, p), params)
                 np.testing.assert_array_equal(out, expected[: 2 * m])
 
     @settings(max_examples=150, deadline=None)
@@ -629,10 +648,11 @@ def test_pinned_integer_columns(key):
 
 
 class TestFourierOracle:
-    #: p -> the steps checked, the last two of them dense:
-    #: - 1048573, the largest prime below 2^20: windows up to step 18, dense from step 19;
-    #: - 1048583 = 2^20 + 7, prime: the last window, at step 19, holds p - 8 integers,
-    #:   so the switch embeds it into a nearly full buffer
+    #: p -> the steps checked, the last two of them mod p:
+    #: - 1048573, the largest prime below 2^20: mod 2^(k+1) - 1 up to step 18, mod p
+    #:   from step 19;
+    #: - 1048583 = 2^20 + 7, prime: step 19 is mod p - 8, so step 20 embeds that
+    #:   vector into a nearly full buffer
     CASES = {1048573: (6, 18, 19, 24), 1048583: (6, 19, 20, 24)}
 
     @pytest.mark.parametrize("q", [(1 / 3, 1 / 3, 1 / 3), (0.2, 0.5, 0.3)])
@@ -644,8 +664,8 @@ class TestFourierOracle:
             for k, mass in iter_evolve(params, 24):
                 if k not in steps:
                     continue
-                if params.increments.is_symmetric:  # the half holds 0..w or 0..(p - 1)/2
-                    mass = unfold_mirrored(mass, p)
+                if params.increments.is_symmetric:  # the half holds residues 0..(P - 1)/2
+                    mass = unfold_mirrored(mass)
                 checked.append((k, mass.size < p))
                 for xi in xis:
                     got = fourier_coefficient(mass, p, xi)

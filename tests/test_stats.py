@@ -354,22 +354,6 @@ class TestMonteCarlo:
         moments = rep.freq_mean.tobytes() + rep.freq_stderr.tobytes()
         assert hashlib.sha256(moments).hexdigest() == digest
 
-    def test_chunking_does_not_change_result(self, monkeypatch):
-        base = monte_carlo_frequencies(20, 20_000, seed=8)
-        original, chunks = stats._per_row_counts, []
-
-        def recording(codes):  # called once per chunk
-            chunks.append(codes.shape[0])
-            return original(codes)
-
-        monkeypatch.setattr(stats, "_per_row_counts", recording)
-        monkeypatch.setattr(stats, "_CHUNK_UNITS", 1)
-        small = monte_carlo_frequencies(20, 20_000, seed=8)
-        assert len(chunks) >= 3
-        np.testing.assert_array_equal(small.counts, base.counts)
-        np.testing.assert_array_equal(small.freq_mean, base.freq_mean)
-        np.testing.assert_array_equal(small.freq_stderr, base.freq_stderr)
-
     @pytest.mark.parametrize(
         "n, trials", [(2, 3 * 2**15 + 5), (20, 30_000), (2**16, 20), (100000, 25)]
     )
@@ -388,17 +372,17 @@ class TestMonteCarlo:
         monkeypatch.setattr(stats, "_first_nonzero_sign", drawn_rows)
         monkeypatch.setattr(stats, "_per_row_counts", tallied_rows)
         rep = monte_carlo_frequencies(n, trials, seed=13)
+        # a chunk is one seed block: about 2^16 digits, or one row past that
         block = max(1, 2**16 // n)
         assert sum(drawn) == trials and sum(tallied) == rep.trials
         assert len(tallied) == len(drawn) >= 2
-        assert all(rows % block == 0 for rows in drawn[:-1])
+        assert all(rows == block for rows in drawn[:-1])
         assert all(t <= d for t, d in zip(tallied, drawn))
-        budget = max(stats._CHUNK_UNITS, block * (n + 48))
-        assert all(rows * (n + 48) <= budget for rows in drawn)
+        assert all(rows * n <= max(2**16, n) for rows in drawn)
 
     def test_peak_memory_per_digit(self):
-        # one 10 x 100000 chunk: three reused int8 buffers and the sign's bool
-        # temporary, about 4 bytes a digit (10.1 with the int64 per-position offsets)
+        # ten blocks of one 100000-digit row, each swept in the same two int8
+        # buffers: about 5.7 bytes a digit of one block, with the tally's pieces
         monte_carlo_frequencies(100000, 1, seed=2)
         tracemalloc.start()
         try:
