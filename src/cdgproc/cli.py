@@ -45,8 +45,8 @@ MAX_TRACE_STEPS = 100_000
 _HISTOGRAM_PIECE = 1 << 16
 
 # Cost limits, checked before any work.  At the slowest rates measured on a 2-core
-# Xeon VM (31, 15 and 25 ns a unit; simulate's slowest is 100 trials x 10^5 steps of a
-# non-uniform law, int8 draws) the largest accepted input runs about 4 minutes.
+# Xeon VM (31, 15 and 18 ns a unit; simulate's slowest is a non-uniform law near
+# p = 2^61, where a draw is one step) the largest accepted input runs about 4 minutes.
 #: evolve refuses steps x p above this
 MAX_EVOLVE_COST = 1 << 33
 #: scan refuses the sum of _scan_cost over its moduli above this

@@ -43,6 +43,10 @@ DIST_TOLERANCE = 1e-12
 SIMULATE_MAX_MODULUS = 1 << 61
 #: sample_endpoints walks its trials in blocks of this many, block b on substream b of the seed
 SIMULATE_BLOCK = 1 << 20
+#: sample_endpoints draws at most this many steps at once: 3^10 table entries, |S| < 2^10
+_MAX_GROUP = 10
+#: trials per generator call, so that a group's draw temporaries stay below 1 MB
+_DRAW_CHUNK = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -86,11 +90,6 @@ class IncrementDistribution:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.q_minus1, self.q_zero, self.q_plus1)
-
-    @property
-    def is_uniform_thirds(self) -> bool:
-        """True when all three probabilities equal 1/3 (up to 1e-12)."""
-        return all(abs(q - 1.0 / 3.0) <= 1e-12 for q in self.as_tuple())
 
     @property
     def is_symmetric(self) -> bool:
@@ -200,27 +199,59 @@ def substream(root: np.random.SeedSequence, b: int) -> np.random.Generator:
     return np.random.default_rng(child)
 
 
+def _group_sums(k: int) -> np.ndarray:
+    """S(u) = sum_i 2^(k-1-i) * b_i of every u in [0, 3^k), as int16 (|S| < 2^10 for k <= 10).
+
+    u's base-3 digits, most significant first, are b_0 + 1, ..., b_{k-1} + 1.
+    """
+    sums, digits = np.zeros(1, dtype=np.int16), np.array([-1, 0, 1], dtype=np.int16)
+    for _ in range(k):
+        sums = (2 * sums[:, None] + digits).ravel()
+    return sums
+
+
+def _group_cdf(k: int, dist: IncrementDistribution) -> np.ndarray:
+    """Cumulative product law of u in [0, 3^k), digits as in _group_sums, scaled to end at 1."""
+    mass = np.ones(1)
+    for _ in range(k):
+        mass = np.outer(mass, dist.as_tuple()).ravel()
+    cdf = np.cumsum(mass)
+    return cdf / cdf[-1]
+
+
 def _block_tally(rng, params: ProcessParams, steps: int, trials: int):
-    """Sorted endpoints mod p, and their counts, of `trials` walks with int8 draws from rng."""
+    """Sorted endpoints mod p, and their counts, of `trials` walks drawn k steps at a time.
+
+    X_{t+k} = 2^k X_t + S(u): per trial and group one index u below 3^k, whose base-3
+    digits are the k increments (see _group_sums), drawn by integers(0, 3^k) as uint32
+    under the uniform law, else by a uniform float placed in the cumulative product law
+    (_group_cdf), in calls of up to _DRAW_CHUNK trials.  The last steps % k are one
+    more group.
+    """
     p, dist = params.modulus, params.increments
+    # x advances in place without reduction, |x| < span, and is reduced mod p only
+    # before a group of s steps could reach 2^62: (span - 1) * 2^s + 2^s - 1 < 2^62.
+    # After a reduction span = p, so p * 2^k <= 2^62 sets k (1 for p near 2^61).
+    k = min(_MAX_GROUP, 62 - p.bit_length())
+    full, rest = divmod(steps, k)
     x = np.zeros(trials, dtype=np.int64)
-    support = np.array([-1, 0, 1], dtype=np.int8)
-    probs, uniform = list(dist.as_tuple()), dist.is_uniform_thirds
-    # x advances in place without reduction, |x| <= bound = 2^k - 1 after k steps,
-    # and is reduced mod p only before a step could reach 2^62.  p <= 2^61 keeps the
-    # step after a reduction below that, and the residues are those of (2x + b) % p.
-    bound = 0
-    for _ in range(steps):
-        if uniform:
-            b = rng.integers(-1, 2, size=trials, dtype=np.int8)
-        else:
-            b = rng.choice(support, size=trials, p=probs)
-        if 2 * bound + 1 >= 1 << 62:
-            np.remainder(x, p, out=x)
-            bound = p - 1
-        x <<= 1
-        x += b
-        bound = 2 * bound + 1
+    span = 1
+    for s, groups in ((k, full), (rest, 1 if rest else 0)):
+        sums = _group_sums(s)
+        cdf = None if dist == UNIFORM_INCREMENTS else _group_cdf(s, dist)
+        for _ in range(groups):
+            if span << s > 1 << 62:
+                np.remainder(x, p, out=x)
+                span = p
+            for lo in range(0, trials, _DRAW_CHUNK):
+                part = x[lo:lo + _DRAW_CHUNK]
+                if cdf is None:
+                    u = rng.integers(0, 3**s, size=part.size, dtype=np.uint32)
+                else:
+                    u = np.searchsorted(cdf, rng.random(part.size), side="right")
+                part <<= s
+                part += sums.take(u)
+            span <<= s
     np.remainder(x, p, out=x)
     return _tally(x)
 
@@ -251,10 +282,10 @@ def _merge_tally(residues, counts, new, new_counts):
 def sample_endpoints(params: ProcessParams, steps: int, trials: int, seed) -> tuple:
     """Endpoints X_steps of `trials` walks from 0: ascending distinct residues, and counts.
 
-    Block b of SIMULATE_BLOCK trials draws from substream(SeedSequence(seed), b), per
-    step int8 integers(-1, 2) under the uniform law, else choice over (-1, 0, 1), so
-    the memory does not grow with `trials`.  Raises ValueError unless trials >= 1,
-    steps >= 0 and modulus <= SIMULATE_MAX_MODULUS, checked in that order.
+    Block b of SIMULATE_BLOCK trials draws from substream(SeedSequence(seed), b),
+    one index below 3^k per trial and group of k <= 10 steps (see _block_tally).
+    Raises ValueError unless trials >= 1, steps >= 0 and modulus <=
+    SIMULATE_MAX_MODULUS, checked in that order.
     """
     if trials < 1:
         raise ValueError(f"trial count {trials} must be at least 1")

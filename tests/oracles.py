@@ -5,16 +5,20 @@ values come from Horner evaluation, standard forms from big-integer binary
 expansion, distributions from direct enumeration of all increment strings,
 pair cells from a hand-written classification, trace functionals from a full
 sort and whole-vector numpy formulas, Fourier coefficients of the exact law
-from the Chung-Diaconis-Graham product, and whole vectors of mirrored halves
-and dense vectors of residue vectors from index maps.
+from the Chung-Diaconis-Graham product, whole vectors of mirrored halves
+and dense vectors of residue vectors from index maps, and `simulate`
+histograms from its replayed draws, decoded digit by digit and walked with
+Python integers.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -154,27 +158,61 @@ def per_trial_substream_rows(n: int, trials: int, seed) -> np.ndarray:
     )
 
 
+def simulate_group_size(p: int) -> int:
+    """Steps per draw of `cdg simulate` at modulus p: the most, up to 10, with p * 2^k <= 2^62."""
+    return max(k for k in range(1, 11) if p << k <= 1 << 62)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_cdf(q: tuple, size: int) -> list[float]:
+    """Running sums of prod_i q[d_i] over the base-3 digit tuples d in order, over their total."""
+    cdf = list(accumulate(math.prod(q[d] for d in ds) for ds in product(range(3), repeat=size)))
+    return [c / cdf[-1] for c in cdf]
+
+
+def simulate_group(rng, size: int, rows: int, q) -> list[list[int]]:
+    """The `size` increments of each of `rows` trials drawn by one of the sampler's generator calls.
+
+    One index u in [0, 3^size) a trial: rng.integers(0, 3^size, dtype=uint32) when q
+    is None (the uniform law), else rng.random() placed by bisect_right in the product
+    law's cumulative masses.  u's base-3 digits, most significant first, are b + 1.
+    """
+    if q is None:
+        indices = rng.integers(0, 3**size, size=rows, dtype=np.uint32).tolist()
+    else:
+        cdf = _product_cdf(tuple(q), size)
+        indices = [bisect.bisect_right(cdf, r) for r in rng.random(rows).tolist()]
+    out = []
+    for u in indices:
+        digits = []
+        for _ in range(size):
+            u, d = divmod(u, 3)
+            digits.append(d - 1)
+        out.append(digits[::-1])
+    return out
+
+
 def simulate_endpoints(p: int, steps: int, trials: int, seed, q, block: int) -> dict[int, int]:
     """Endpoint histogram of `cdg simulate`, walked with Python integers, residues ascending.
 
     Trials come in blocks of `block`; block b draws from child b of
     SeedSequence(seed).spawn(ceil(trials / block)).  The draws replay the CLI's
-    generator calls: per step one rng.integers(-1, 2, size=rows, dtype=int8)
-    when q is None (the uniform law), else one rng.choice(int8 [-1, 0, 1],
-    size=rows, p=q).  Every trial is reduced, x = (2x + b) % p, after every step.
+    generator calls, one simulate_group per simulate_group_size(p) steps and one
+    for the last steps % size, each over the whole block (the CLI's calls on
+    pieces of a block draw the same numbers).  Every trial is reduced,
+    x = (2x + b) % p, after every step.
     """
-    support = np.array([-1, 0, 1], dtype=np.int8)
+    k = simulate_group_size(p)
+    sizes = [k] * (steps // k) + [steps % k] * (steps % k > 0)
     tally = Counter()
     for b, child in enumerate(np.random.SeedSequence(seed).spawn(-(-trials // block))):
         rng = np.random.default_rng(child)
         rows = min(block, trials - b * block)
         x = [0] * rows
-        for _ in range(steps):
-            if q is None:
-                d = rng.integers(-1, 2, size=rows, dtype=np.int8)
-            else:
-                d = rng.choice(support, size=rows, p=list(q))
-            x = [(2 * xi + di) % p for xi, di in zip(x, d.tolist())]
+        for size in sizes:
+            for i, digits in enumerate(simulate_group(rng, size, rows, q)):
+                for d in digits:
+                    x[i] = (2 * x[i] + d) % p
         tally.update(x)
     return dict(sorted(tally.items()))
 

@@ -537,11 +537,12 @@ class TestSimulate:
                                          ("1/6,1/2,1/3", (1 / 6, 1 / 2, 1 / 3))],
                              ids=["uniform", "sixth_half_third"])
     @pytest.mark.parametrize("steps", [0, 1, 61, 62, 63, 130])
-    @pytest.mark.parametrize("p", [3, 1000003, 2**61 - 1])
+    @pytest.mark.parametrize("p", [3, 1000003, 2**55 - 55, 2**61 - 1])
     def test_histogram_matches_python_integer_oracle(self, capsys, monkeypatch, p, steps,
                                                      dist, q):
         # the walk reduces mod p only before int64 could overflow; the oracle reduces
         # Python integers on every step, and 2^61 - 1 is the largest accepted prime.
+        # It draws one step at a time, 2^55 - 55 seven and the others ten.
         # Blocks of 7 split the 300 trials into 43 tallies to merge: at p = 3 every
         # block's residues collide with the others', at 2^61 - 1 (steps >= 61) none do.
         args = ("simulate", f"--p={p}", f"--steps={steps}", "--trials=300", "--seed=23",

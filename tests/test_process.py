@@ -22,7 +22,14 @@ from cdgproc.process import (
     substream,
     value_of,
 )
-from oracles import horner_value, simulate_endpoints
+from cdgproc.distribution import evolve
+from oracles import (
+    all_digit_matrix,
+    horner_value,
+    simulate_endpoints,
+    simulate_group,
+    simulate_group_size,
+)
 
 
 class TestValidateParams:
@@ -30,7 +37,7 @@ class TestValidateParams:
         params = ProcessParams(101, IncrementDistribution(1 / 3, 1 / 3, 1 / 3))
         assert params.modulus == 101
         assert params == ProcessParams(101)
-        assert params.increments.is_uniform_thirds
+        assert params.increments == UNIFORM_INCREMENTS
         assert params.increments.is_symmetric
 
     @pytest.mark.parametrize("qs, symmetric", [
@@ -51,7 +58,7 @@ class TestValidateParams:
     def test_biased_distribution_accepted(self):
         params = ProcessParams(101, IncrementDistribution(0.0, 0.6, 0.4))
         assert params.increments.q_plus1 == 0.4
-        assert not params.increments.is_uniform_thirds
+        assert params.increments != UNIFORM_INCREMENTS
 
     @pytest.mark.parametrize("qs", [(-0.1, 0.6, 0.5), (0.2, 0.2, 0.2), (0.5, 0.5, 0.5)])
     def test_bad_distribution_rejected(self, qs):
@@ -197,18 +204,17 @@ class TestSampleTrajectory:
 
     @pytest.mark.parametrize("increments", [UNIFORM_INCREMENTS, IncrementDistribution(0.2, 0.5, 0.3)])
     def test_final_state_consistent_with_value(self, increments):
-        # one block's per-step draws, read as 20 digit strings of 300 digits each,
+        # one block's k-step indices, decoded into 20 digit strings of 300 digits each,
         # end where value_of puts them mod p
         params = ProcessParams(10007, increments)
-        support = np.array([-1, 0, 1], dtype=np.int8)
+        q = None if increments == UNIFORM_INCREMENTS else increments.as_tuple()
+        k = simulate_group_size(10007)
         for seed in (0, 7, 123):
             rng = substream(np.random.SeedSequence(seed), 0)
-            if increments.is_uniform_thirds:
-                draws = [rng.integers(-1, 2, size=20, dtype=np.int8) for _ in range(300)]
-            else:
-                draws = [rng.choice(support, size=20, p=list(increments.as_tuple()))
-                         for _ in range(300)]
-            ends = Counter(value_of(digits) % 10007 for digits in np.array(draws).T)
+            groups = [simulate_group(rng, k, 20, q) for _ in range(300 // k)]
+            strings = [sum((group[i] for group in groups), []) for i in range(20)]
+            assert {len(digits) for digits in strings} == {300}
+            ends = Counter(value_of(digits) % 10007 for digits in strings)
             residues, counts = sample_endpoints(params, 300, 20, seed=seed)
             assert dict(zip(residues.tolist(), counts.tolist())) == ends
 
@@ -224,16 +230,103 @@ class TestSampleTrajectory:
 
     @pytest.mark.parametrize("q", [None, (1 / 6, 1 / 2, 1 / 3)],
                              ids=["uniform", "sixth_half_third"])
-    @pytest.mark.parametrize("p", [3, 1000003, 2**61 - 1])
+    @pytest.mark.parametrize("p", [3, 1000003, 2**55 - 55, 2**61 - 1])
     def test_matches_python_integer_oracle(self, monkeypatch, p, q):
         # the walk reduces mod p only before int64 could overflow, the oracle on every step;
-        # blocks of 7 split the 100 trials into 15 tallies to merge
+        # groups are 10 steps at p = 3 and 1000003, 7 at 2^55 - 55 and 1 at 2^61 - 1.
+        # Blocks of 7 split the 100 trials into 15 tallies to merge
         params = ProcessParams(p, UNIFORM_INCREMENTS if q is None else IncrementDistribution(*q))
         for block in (process.SIMULATE_BLOCK, 7):
             monkeypatch.setattr(process, "SIMULATE_BLOCK", block)
-            for steps in (0, 1, 62, 130):
+            for steps in (0, 1, 61, 62, 63, 130):
                 residues, counts = sample_endpoints(params, steps, 100, seed=29)
                 assert residues.dtype == counts.dtype == np.int64
                 assert dict(zip(residues.tolist(), counts.tolist())) == simulate_endpoints(
                     p, steps, 100, 29, q, block)
                 assert np.all(np.diff(residues) > 0)
+
+
+class TestGroupDraws:
+    """sample_endpoints draws k steps at once: one index u below 3^k a trial and group."""
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_tables_are_digit_sums_and_products(self, k):
+        # row u of all_digit_matrix(k) is u's base-3 digits minus 1, most significant first
+        digits = all_digit_matrix(k).astype(np.int64)
+        sums = process._group_sums(k)
+        assert sums.dtype == np.int16
+        np.testing.assert_array_equal(sums, digits @ (1 << np.arange(k - 1, -1, -1)))
+        q = np.array([0.2, 0.5, 0.3])
+        cdf = process._group_cdf(k, IncrementDistribution(*q))
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+        np.testing.assert_allclose(np.diff(cdf, prepend=0.0), q[digits + 1].prod(axis=1),
+                                   rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("p, k", [(3, 10), (1000003, 10), (2**52 - 47, 10),
+                                      (2**52 + 15, 9), (2**55 - 55, 7), (2**61 - 1, 1)])
+    def test_group_size_shrinks_as_p_grows(self, p, k):
+        # a group after a reduction starts below p and must stay below 2^62
+        assert simulate_group_size(p) == k
+        residues, counts = sample_endpoints(ProcessParams(p), 3 * k + 1, 50, seed=4)
+        assert dict(zip(residues.tolist(), counts.tolist())) == simulate_endpoints(
+            p, 3 * k + 1, 50, 4, None, process.SIMULATE_BLOCK)
+
+    @pytest.mark.parametrize("q", [None, (0.2, 0.5, 0.3)], ids=["uniform", "biased"])
+    @pytest.mark.parametrize("steps", [7, 10, 13])
+    def test_endpoints_follow_the_exact_law(self, steps, q):
+        # inside, at and past one group of 10 steps: every residue's count is within
+        # 6 standard errors of trials x its mass under distribution.evolve, which
+        # catches a wrong product-law table that a replaying oracle would share.
+        # Chi-square, within 6 of its standard deviations, also catches swapping
+        # q- and q+ at 7 steps, where no residue is off by 3 standard errors
+        trials = 200_000
+        params = ProcessParams(101, UNIFORM_INCREMENTS if q is None else IncrementDistribution(*q))
+        mass = evolve(params, steps)
+        residues, counts = sample_endpoints(params, steps, trials, seed=steps)
+        observed = np.zeros(101)
+        observed[residues] = counts
+        sd = np.sqrt(trials * mass * (1 - mass))
+        assert np.all(np.abs(observed - trials * mass) <= 6 * sd)
+        seen = mass > 0
+        chi2 = ((observed - trials * mass)[seen] ** 2 / (trials * mass[seen])).sum()
+        df = seen.sum() - 1
+        assert chi2 <= df + 6 * math.sqrt(2 * df)
+
+    @pytest.mark.parametrize("q", [None, (0.2, 0.5, 0.3)], ids=["uniform", "biased"])
+    @pytest.mark.parametrize("p", [1000003, 2**55 - 55])
+    def test_draw_pieces_do_not_change_the_stream(self, monkeypatch, p, q):
+        # the oracle draws each group of a block in one call; pieces of 5 trials draw
+        # the same numbers
+        params = ProcessParams(p, UNIFORM_INCREMENTS if q is None else IncrementDistribution(*q))
+        monkeypatch.setattr(process, "_DRAW_CHUNK", 5)
+        residues, counts = sample_endpoints(params, 73, 101, seed=17)
+        assert dict(zip(residues.tolist(), counts.tolist())) == simulate_endpoints(
+            p, 73, 101, 17, q, process.SIMULATE_BLOCK)
+
+    @pytest.mark.parametrize("trials", [1000, process._DRAW_CHUNK + 1])
+    @pytest.mark.parametrize("q", [None, (0.2, 0.5, 0.3)], ids=["uniform", "biased"])
+    def test_one_draw_call_per_group(self, monkeypatch, q, trials):
+        # one block of 60 steps at p = 1000003 makes ceil(60 / 10) generator calls, not 60,
+        # per piece of at most _DRAW_CHUNK trials
+        law = UNIFORM_INCREMENTS if q is None else IncrementDistribution(*q)
+        params = ProcessParams(1000003, law)
+        calls, real = [], process.substream
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def call(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+
+                return call
+
+        monkeypatch.setattr(process, "substream", lambda root, b: Spy(real(root, b)))
+        residues, counts = sample_endpoints(params, 60, trials, seed=3)
+        assert counts.sum() == trials
+        pieces = math.ceil(trials / process._DRAW_CHUNK)
+        assert calls == ["integers" if q is None else "random"] * (math.ceil(60 / 10) * pieces)

@@ -390,7 +390,7 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 10 * 100000
+        assert peak <= 6 * 100000
 
     @pytest.fixture
     def no_drawing(self, monkeypatch):
