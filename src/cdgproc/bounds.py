@@ -188,13 +188,21 @@ def _tail_range(n: int, eps: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _binomial_sum(t: int, lo: int, hi: int) -> int:
-    """Exact sum of C(t, a) over lo <= a <= hi, each term from the previous one."""
-    term, total = math.comb(t, lo), 0
+def _binomial_sum(t: int, lo: int, hi: int, base: int = 1) -> int:
+    """Exact sum of C(t, a) * base^(t - a) over lo <= a <= hi, each term from the previous one."""
+    term, total = math.comb(t, lo) * base ** (t - lo), 0
     for a in range(lo, hi + 1):
         total += term
-        term = term * (t - a) // (a + 1)
+        term = term * (t - a) // ((a + 1) * base)
     return total
+
+
+def _log2_binomial_sum(t: int, lo: int, hi: int, base: int = 1) -> float:
+    """log2 of _binomial_sum(t, lo, hi, base), summed with log-gamma in log space."""
+    log_t, log_base = _log_factorial(t), math.log(base)
+    return _log2_sum(
+        lambda a: log_t - _log_factorial(a) - _log_factorial(t - a) + (t - a) * log_base, lo, hi
+    )
 
 
 def binomial_tail_count(n: int, eps: float) -> int:
@@ -204,9 +212,7 @@ def binomial_tail_count(n: int, eps: float) -> int:
 
 def log2_binomial_tail(n: int, eps: float) -> float:
     """log2 of binomial_tail_count(n, eps), summed with log-gamma in log space."""
-    lo, hi = _tail_range(n, eps)
-    log_n = _log_factorial(n)
-    return _log2_sum(lambda j: log_n - _log_factorial(j) - _log_factorial(n - j), lo, hi)
+    return _log2_binomial_sum(n, *_tail_range(n, eps))
 
 
 @dataclass(frozen=True)
@@ -282,13 +288,9 @@ def multinomial_region_count(region: CountRegion, method: str = "auto") -> Regio
         # l2..l4 are unconstrained, so their inner sum collapses to 3^(m - l1)
         (lo1, hi1) = ranges[0]
         if method == "exact":
-            count = sum(math.comb(m, l1) * 3 ** (m - l1) for l1 in range(lo1, hi1 + 1))
+            count = _binomial_sum(m, lo1, hi1, 3)
             return RegionCount(count, math.log2(count), method)
-        return RegionCount(None, _log2_sum(
-            lambda l1: (_log_factorial(m) - _log_factorial(l1) - _log_factorial(m - l1)
-                        + (m - l1) * math.log(3.0)),
-            lo1, hi1,
-        ), method)
+        return RegionCount(None, _log2_binomial_sum(m, lo1, hi1, 3), method)
 
     (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4) = ranges
     s_lo, s_hi = _s_totals(ranges, m)

@@ -258,30 +258,22 @@ def first_crossings(params: ProcessParams, thresholds: Sequence[float], n: int) 
     return crossings
 
 
-def _fold(dist: np.ndarray, term, combine=operator.add, dtype=np.float64):
+def _fold(dist: np.ndarray, term, combine=operator.add, dtype=np.float64, *, mirrored=False):
     """term(x, buf) of each consecutive block x of `dist`, combined left to right.
 
     Blocks hold at most `_BLOCK` values, and `buf` is one scratch buffer of
-    `dtype` for all of them, cut to x's length.  A vector of one block is one
-    call on the whole of it with `buf` None, so that its outputs are allocated
-    as they would be without blocks.
+    `dtype` for all of them, cut to x's length.  A `mirrored` vector counts
+    every value but the first twice: the blocks run over the rest, their
+    total is combined with itself, and then with the term of the first value.
     """
-    if dist.size <= _BLOCK:
-        return term(dist, None)
-    buf = np.empty(_BLOCK, dtype)
-    total = term(dist[:_BLOCK], buf)
-    for i in range(_BLOCK, dist.size, _BLOCK):
-        x = dist[i : i + _BLOCK]
+    buf = np.empty(min(_BLOCK, dist.size), dtype)
+    rest = dist[1:] if mirrored else dist
+    x = rest[:_BLOCK]
+    total = term(x, buf[: x.size])
+    for i in range(_BLOCK, rest.size, _BLOCK):
+        x = rest[i : i + _BLOCK]
         total = combine(total, term(x, buf[: x.size]))
-    return total
-
-
-def _mirror_fold(dist: np.ndarray, term, mirrored: bool, combine=operator.add, dtype=np.float64):
-    """`_fold` of `dist`, in which a `mirrored` vector counts every value but the first twice."""
-    if not mirrored:
-        return _fold(dist, term, combine, dtype)
-    rest = _fold(dist[1:], term, combine, dtype)
-    return combine(combine(rest, rest), term(dist[:1], None))
+    return combine(combine(total, total), term(dist[:1], buf[:1])) if mirrored else total
 
 
 def _full_size(dist: np.ndarray, mirrored: bool) -> int:
@@ -304,7 +296,7 @@ def tvd_uniform(dist: np.ndarray, p: int | None = None, *, mirrored: bool = Fals
         dev = np.subtract(x, 1.0 / p, out=buf)
         return np.abs(dev, out=dev).sum()
 
-    return float(0.5 * (_mirror_fold(dist, term, mirrored) + (p - size) / p))
+    return float(0.5 * (_fold(dist, term, mirrored=mirrored) + (p - size) / p))
 
 
 def entropy_bits(dist: np.ndarray, *, mirrored: bool = False) -> float:
@@ -322,13 +314,13 @@ def entropy_bits(dist: np.ndarray, *, mirrored: bool = False) -> float:
         return np.multiply(logs, x, out=logs).sum()
 
     # + 0.0 normalizes the -0.0 a point mass would produce
-    return float(-_mirror_fold(dist, term, mirrored) + 0.0)
+    return float(-_fold(dist, term, mirrored=mirrored) + 0.0)
 
 
 def support_size(dist: np.ndarray, *, mirrored: bool = False) -> int:
     """Number of residues with positive mass; a `mirrored` `dist` counts all but the first twice."""
     dist = np.asarray(dist, dtype=np.float64)
-    return int(_mirror_fold(dist, lambda x, buf: np.count_nonzero(x > 0), mirrored))
+    return int(_fold(dist, lambda x, buf: np.count_nonzero(x > 0), mirrored=mirrored))
 
 
 def _running_sums(above: float, masses: np.ndarray) -> np.ndarray:
@@ -383,7 +375,7 @@ def typical_set_size(dist: np.ndarray, delta: float, *, mirrored: bool = False) 
         idx >>= shift
         return np.bincount(idx, weights=x, minlength=buckets)
 
-    hist = _mirror_fold(dist, tally, mirrored, operator.iadd, np.int64)
+    hist = _fold(dist, tally, operator.iadd, np.int64, mirrored=mirrored)
     from_top = np.cumsum(hist[::-1])
     c = max(buckets - 1 - int(np.searchsorted(from_top, target, side="left")), 0)
     above = float(from_top[buckets - 2 - c]) if c < buckets - 1 else 0.0
@@ -402,7 +394,7 @@ def typical_set_size(dist: np.ndarray, delta: float, *, mirrored: bool = False) 
 
     while True:
         floor = lo + (c << shift) if c else np.iinfo(np.int64).min
-        count, parts = _mirror_fold(dist, split, mirrored, gather, bool)
+        count, parts = _fold(dist, split, gather, bool, mirrored=mirrored)
         cum = _running_sums(above, np.concatenate(parts))
         k = int(np.searchsorted(cum, target, side="left"))
         if k < cum.size:

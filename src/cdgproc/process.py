@@ -7,12 +7,13 @@ The increments b_k are i.i.d. on {-1, 0, 1}.  A length-n increment string
 
 so trajectories, endpoint values and digit strings are interchangeable here.
 `sample_endpoints` is the library's one sampler of the chain, behind
-`cdg simulate`; `substream`, its seed rule, also serves `stats`.
+`cdg simulate`; `substreams`, the one seed rule, also serves `stats`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "parse_digits",
     "sample_endpoints",
     "substream",
+    "substreams",
     "value_of",
 ]
 
@@ -199,6 +201,17 @@ def substream(root: np.random.SeedSequence, b: int) -> np.random.Generator:
     return np.random.default_rng(child)
 
 
+def substreams(seed, total: int, size: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """(generator, count) for each block of `size` of `total` draws; only the last may be short.
+
+    Block b draws from substream(SeedSequence(seed), b), so a draw depends
+    only on the seed, `size` and its index.
+    """
+    root = np.random.SeedSequence(seed)
+    for b, lo in enumerate(range(0, total, size)):
+        yield substream(root, b), min(size, total - lo)
+
+
 def _group_sums(k: int) -> np.ndarray:
     """S(u) = sum_i 2^(k-1-i) * b_i of every u in [0, 3^k), as int16 (|S| < 2^10 for k <= 10).
 
@@ -282,7 +295,7 @@ def _merge_tally(residues, counts, new, new_counts):
 def sample_endpoints(params: ProcessParams, steps: int, trials: int, seed) -> tuple:
     """Endpoints X_steps of `trials` walks from 0: ascending distinct residues, and counts.
 
-    Block b of SIMULATE_BLOCK trials draws from substream(SeedSequence(seed), b),
+    The trials come in blocks from substreams(seed, trials, SIMULATE_BLOCK),
     one index below 3^k per trial and group of k <= 10 steps (see _block_tally).
     Raises ValueError unless trials >= 1, steps >= 0 and modulus <=
     SIMULATE_MAX_MODULUS, checked in that order.
@@ -293,10 +306,8 @@ def sample_endpoints(params: ProcessParams, steps: int, trials: int, seed) -> tu
         raise ValueError(f"step count {steps} is negative")
     if params.modulus > SIMULATE_MAX_MODULUS:
         raise ValueError(f"modulus {params.modulus} exceeds the int64 simulation limit")
-    root = np.random.SeedSequence(seed)
     residues = counts = np.zeros(0, dtype=np.int64)
-    for lo in range(0, trials, SIMULATE_BLOCK):
-        rng = substream(root, lo // SIMULATE_BLOCK)
-        tally = _block_tally(rng, params, steps, min(SIMULATE_BLOCK, trials - lo))
+    for rng, count in substreams(seed, trials, SIMULATE_BLOCK):
+        tally = _block_tally(rng, params, steps, count)
         residues, counts = _merge_tally(residues, counts, *tally)
     return residues, counts

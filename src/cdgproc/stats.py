@@ -21,7 +21,7 @@ the first-1 digits before a - 1; lead is 1 when the window's first nonzero
 digit is +1, so those digits may all be 0.  27 windows a position give every
 count.
 
-Monte Carlo draws one substream (process.substream, also the seed rule of
+Monte Carlo draws one substream (process.substreams, also the seed rule of
 the chain's sampler process.sample_endpoints) per block of about 2^16 digits
 of trials and keeps per-cell sums and sums of squares, so its memory does not
 grow with the trial count; its cost, trials x (n + 48), is checked before
@@ -47,11 +47,10 @@ from .canonical import (
     TABLE_LIMITS,
     SequenceClass,
     _canonicalize_matrix,
-    _COL_LUT,
     _first_nonzero_sign,
-    _ROW_LUT,
+    pair_cell,
 )
-from .process import substream
+from .process import substreams
 
 __all__ = [
     "BlockEventReport",
@@ -107,12 +106,12 @@ def _pair_table() -> tuple[np.ndarray, np.ndarray]:
     integers, not numpy: array arithmetic here raised the import's peak RSS
     by about 0.3 MB.
     """
-    rows, cols = _ROW_LUT.tolist(), _COL_LUT.tolist()
     codes = []
     for b_prev, b_cur, bt_cur, odd in itertools.product((-1, 0, 1), (-1, 0, 1), (0, 1), (0, 1)):
         carry = -((b_cur + bt_cur) & 1)
         bt_prev = (b_prev + ((b_cur + carry) >> 1)) & 1
-        codes.append((rows[b_prev + 1][b_cur + 1] * 4 + cols[bt_prev][bt_cur]) * 2 + odd)
+        row, col = pair_cell(b_prev, b_cur, bt_prev, bt_cur)
+        codes.append((row * 4 + col) * 2 + odd)
     shared = [(i, j) for i in range(36) for j in range(i + 1, 36) if codes[i] == codes[j]]
     return np.array(codes, dtype=np.intp), np.array(shared).T
 
@@ -122,7 +121,7 @@ _CODE36, _SHARED = _pair_table()
 
 
 class TooLargeError(ValueError):
-    """Length exceeds the exhaustive enumeration bound."""
+    """Length exceeds the exhaustive bound EXHAUSTIVE_MAX_N."""
 
 
 def _pair_codes(raw: np.ndarray, canon: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -237,7 +236,9 @@ class FrequencyReport:
 
     def to_dict(self) -> dict:
         mean = self.freq_mean
+        combined_freq = self.combined_freq
         cells = {}
+        combined = {}
         for r, rlabel in enumerate(ROW_LABELS):
             for c, clabel in enumerate(COL_LABELS):
                 for par, plabel in enumerate(("even", "odd")):
@@ -247,10 +248,6 @@ class FrequencyReport:
                         "frequency": float(mean[r, c, par]),
                         "stderr": err,
                     }
-        combined = {}
-        combined_freq = self.combined_freq
-        for r, rlabel in enumerate(ROW_LABELS):
-            for c, clabel in enumerate(COL_LABELS):
                 combined[f"{rlabel}|{clabel}"] = {
                     "count": int(self.counts[r, c].sum()),
                     "frequency": float(combined_freq[r, c]),
@@ -331,10 +328,10 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
 
     Digits are drawn from the uniform law on {-1, 0, 1}, the setting of the
     standard-form pair analysis.  Trials come in blocks of
-    B = max(1, 2^16 // n) rows; block b is one draw from child b of
-    SeedSequence(seed).spawn(ceil(trials / B)), so the result depends only on
-    (seed, n, trial index).  Each block is tallied into per-cell sums and sums
-    of squares, so the memory does not grow with trials.  All-zero draws are
+    B = max(1, 2^16 // n) rows from process.substreams(seed, trials, B), one
+    draw a block, so the result depends only on (seed, n, trial index).  Each
+    block is tallied into per-cell sums and sums of squares, so the memory
+    does not grow with trials.  All-zero draws are
     discarded; first-minus-1 draws are negated in place and pooled with
     first-1 draws.
     """
@@ -350,7 +347,6 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
             f"exceeds the limit {MAX_MC_COST}; reduce trials or n"
         )
 
-    root = np.random.SeedSequence(seed)
     block = max(1, _BLOCK_DIGITS // n)
     s1 = np.zeros(_CELLS, dtype=np.int64)
     s2 = np.zeros(_CELLS, dtype=np.int64)
@@ -358,9 +354,8 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
     # every block is swept in these two buffers: fresh pages for each chunk of
     # 10 rows took about 0.1 s of 0.5 s at 600 rows of 100000 digits
     canon, scratch = (np.empty((min(block, trials), n), dtype=np.int8) for _ in range(2))
-    for b, lo in enumerate(range(0, trials, block)):
-        rows = min(block, trials - lo)
-        mat = substream(root, b).integers(-1, 2, size=(rows, n), dtype=np.int8)
+    for rng, rows in substreams(seed, trials, block):
+        mat = rng.integers(-1, 2, size=(rows, n), dtype=np.int8)
         sign = _first_nonzero_sign(mat)
         mat *= sign[:, None]
         if not sign.all():
@@ -431,19 +426,18 @@ def event_probabilities(horizon: int, trials: int, seed) -> BlockEventReport:
     complete blocks (a block is complete once the next 1 appears); events are
     evaluated on consecutive complete blocks.  The exact first-1 class
     probability for length EVENT_CLASS_LENGTH is reported next to an
-    empirical class histogram over EVENT_CLASS_TRIALS fresh strings.  Trial t
-    draws from substream t of the seed, the class strings from substream
-    `trials`.
+    empirical class histogram over EVENT_CLASS_TRIALS fresh strings.  Of
+    process.substreams(seed, trials + 1, 1), trial t draws from block t and
+    the class strings from block `trials`.
     """
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be at least 1")
 
-    root = np.random.SeedSequence(seed)
+    streams = substreams(seed, trials + 1, 1)
     need_ones = horizon + 2
     single_freqs = np.empty(trials)
     minus_freqs = np.empty(trials)
-    for t in range(trials):
-        rng = substream(root, t)
+    for t, (rng, _) in enumerate(itertools.islice(streams, trials)):
         d = np.empty(0, dtype=np.int8)
         while (seen := int((d == 1).sum())) < need_ones:
             d = np.concatenate((d, rng.integers(-1, 2, size=4 * (need_ones - seen) + 64,
@@ -460,7 +454,7 @@ def event_probabilities(horizon: int, trials: int, seed) -> BlockEventReport:
     def _stderr(x):
         return float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
 
-    class_rng = substream(root, trials)
+    class_rng, _ = next(streams)
     shape = (EVENT_CLASS_TRIALS, EVENT_CLASS_LENGTH)
     mat = class_rng.integers(-1, 2, size=shape, dtype=np.int8)
     sign = _first_nonzero_sign(mat)

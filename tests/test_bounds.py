@@ -19,7 +19,13 @@ from cdgproc.bounds import (
     stirling_upper_bound,
 )
 from oracles import direct_region_count, pascal_binomial_tail, string_count_in_region
-from cdgproc.bounds import _log_factorial, _logsumexp, _region_ranges
+from cdgproc.bounds import (
+    _binomial_sum,
+    _log2_binomial_sum,
+    _log_factorial,
+    _logsumexp,
+    _region_ranges,
+)
 
 
 class TestConstants:
@@ -104,6 +110,30 @@ class TestBinomialTail:
             log2_binomial_tail(0, 0.01)
         with pytest.warns(UserWarning):
             assert log2_binomial_tail(10, 0.7) == pytest.approx(10.0, rel=1e-12)
+
+
+class TestWeightedBinomialSum:
+    """The one sum of C(t, a) * base^(t - a) behind the tail (base 1) and region R (base 3)."""
+
+    @staticmethod
+    def direct(t, lo, hi, base):
+        return sum(math.comb(t, a) * base ** (t - a) for a in range(lo, hi + 1))
+
+    @pytest.mark.parametrize("base", [1, 3])
+    def test_exact_matches_direct_sum(self, base):
+        for t in range(41):
+            for lo in range(t + 1):
+                for hi in range(lo, t + 1):
+                    assert _binomial_sum(t, lo, hi, base) == self.direct(t, lo, hi, base)
+
+    @pytest.mark.parametrize("base", [1, 3])
+    @pytest.mark.parametrize(
+        "t, lo, hi", [(1, 0, 1), (40, 0, 40), (40, 17, 17), (333, 100, 200), (1000, 0, 111),
+                      (2000, 780, 820), (2000, 0, 2000), (2000, 1990, 2000)],
+    )
+    def test_log2_matches_log2_of_exact_sum(self, t, lo, hi, base):
+        exact = math.log2(self.direct(t, lo, hi, base))
+        assert _log2_binomial_sum(t, lo, hi, base) == pytest.approx(exact, rel=1e-12)
 
 
 class TestLogFactorial:

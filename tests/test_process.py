@@ -20,6 +20,7 @@ from cdgproc.process import (
     parse_digits,
     sample_endpoints,
     substream,
+    substreams,
     value_of,
 )
 from cdgproc.distribution import evolve
@@ -144,6 +145,21 @@ class TestSubstream:
             expected = np.random.default_rng(child).integers(0, 1 << 62, size=4)
             got = substream(np.random.SeedSequence(seed), b).integers(0, 1 << 62, size=4)
             np.testing.assert_array_equal(got, expected)
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("total, size", [(1, 1), (5, 1), (6, 3), (7, 3), (10, 4), (3, 8)])
+    def test_blocks_cover_the_total(self, total, size):
+        counts = [count for _, count in substreams(0, total, size)]
+        assert sum(counts) == total
+        assert len(counts) == math.ceil(total / size)
+        assert all(count == size for count in counts[:-1]) and 1 <= counts[-1] <= size
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_block_b_draws_from_substream_b(self, seed):
+        for b, (rng, _) in enumerate(substreams(seed, 9 * 5, 5)):
+            expected = substream(np.random.SeedSequence(seed), b).integers(0, 1 << 62, size=4)
+            np.testing.assert_array_equal(rng.integers(0, 1 << 62, size=4), expected)
 
 
 class TestSampleEndpointsDomain:
