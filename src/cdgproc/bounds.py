@@ -94,14 +94,16 @@ class BoundConstants:
     exponent_refined: float
 
 
+def _basic_exponent(eps: float) -> float:
+    """Per-step log2 growth rate of the kind-R count at slack eps; 1/c1_basic at eps = 0."""
+    a, b, g = 2 / 18 + eps / 2, 7 / 18 - eps / 2, 7 / 54 - eps / 6
+    return 0.5 * math.log2(0.5) - a * math.log2(a) - b * math.log2(g)
+
+
 def compute_constants() -> BoundConstants:
     """Evaluate all closed-form rate constants at double precision."""
     c_hat = 1.0 / (1.0 - math.log2((5.0 + math.sqrt(17.0)) / 9.0))
-    exponent_basic = (
-        0.5 * math.log2(0.5)
-        - (2 / 18) * math.log2(2 / 18)
-        - (7 / 18) * math.log2(7 / 54)
-    )
+    exponent_basic = _basic_exponent(0.0)
     exponent_refined = (
         0.5 * math.log2(0.5)
         - (4 / 18) * math.log2(4 / 36)
@@ -372,17 +374,13 @@ def stirling_upper_bound(n: int, eps: float) -> StirlingBound:
     """Exponent of the Stirling bound on the kind-R count at slack eps.
 
     Valid for even n and 0 < eps with 2/18 + eps/2 < 1/8; the exponent is
-    0.5 log2(0.5) - (2/18 + eps/2) log2(2/18 + eps/2)
-                  - (7/18 - eps/2) log2(7/54 - eps/6).
+    the kind-R rate `_basic_exponent(eps)`.
     """
     if n < 2 or n % 2:
         raise DomainError(f"length {n} must be even and at least 2")
     if not (0.0 < eps and 2 / 18 + eps / 2 < 1 / 8):
         raise DomainError(f"eps {eps} outside the bound's validity range")
-    a = 2 / 18 + eps / 2
-    b = 7 / 18 - eps / 2
-    g = 7 / 54 - eps / 6
-    exponent = 0.5 * math.log2(0.5) - a * math.log2(a) - b * math.log2(g)
+    exponent = _basic_exponent(eps)
     return StirlingBound(exponent=exponent, log2_bound=exponent * n, prefactor_degree=3)
 
 

@@ -4,6 +4,9 @@ Every subcommand is deterministic given its full flag set (including --seed),
 writes data to stdout (or --out) and diagnostics to stderr, and exits 0 only
 on success.  CSV floats are printed with 12 significant digits; JSON output
 validates against schemas/cli_output.schema.json shipped with the package.
+`_emit_table` is the one --format switch of `evolve`, `scan` and `stats`;
+`simulate` streams its histogram in either format.  Commands return nothing:
+every failure raises, and `main` turns it into exit 1 with one `error:` line.
 This module holds argument handling, cost checks and output only: `simulate`
 samples through process.sample_endpoints, the library's one chain sampler, and
 `scan` asks distribution.first_crossings for the exact walk's first crossings.
@@ -99,6 +102,14 @@ def _csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_table(args, columns, rows, payload: dict) -> None:
+    """The rows as CSV under `columns`, or the payload as JSON, as --format asks."""
+    if args.format == "csv":
+        _emit(_csv(columns, rows), args.out)
+    else:
+        _emit_json(payload, args.out)
+
+
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
@@ -110,28 +121,22 @@ def _check_cost(what: str, cost: int, limit: int, advice: str) -> None:
 
 # ----------------------------------------------------------------- evolve
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> None:
     if args.steps > MAX_TRACE_STEPS:
         raise ValueError(f"step count {args.steps} exceeds the trace limit {MAX_TRACE_STEPS}")
     params = ProcessParams(args.p, _parse_dist(args.dist))
     _check_cost("evolve", args.steps * params.modulus, MAX_EVOLVE_COST, "reduce --steps or --p")
     rows = dist_mod.evolve_with_trace(params, args.steps, args.delta)
     trace = [r._asdict() for r in rows]
-    if args.format == "csv":
-        _emit(_csv(dist_mod.TraceRow._fields, trace), args.out)
-    else:
-        _emit_json(
-            {
-                "command": "evolve",
-                "p": params.modulus,
-                "steps": args.steps,
-                "dist": list(params.increments.as_tuple()),
-                "delta": args.delta,
-                "trace": trace,
-            },
-            args.out,
-        )
-    return 0
+    payload = {
+        "command": "evolve",
+        "p": params.modulus,
+        "steps": args.steps,
+        "dist": list(params.increments.as_tuple()),
+        "delta": args.delta,
+        "trace": trace,
+    }
+    _emit_table(args, dist_mod.TraceRow._fields, trace, payload)
 
 
 # ------------------------------------------------------------------- scan
@@ -189,21 +194,17 @@ def _scan_row(p: int, dist: IncrementDistribution, cap: int | None) -> dict:
     return dict(zip(_SCAN_COLUMNS, (p, math.log2(p), *crossings, *preds)))
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> None:
     if args.steps is not None and args.steps < 0:
         raise ValueError(f"step cap {args.steps} is negative")
     dist = _parse_dist(args.dist)
     rows = [_scan_row(p, dist, args.steps) for p in _scan_moduli(args)]
-    if args.format == "csv":
-        _emit(_csv(_SCAN_COLUMNS, rows), args.out)
-    else:
-        _emit_json({"command": "scan", "rows": rows}, args.out)
-    return 0
+    _emit_table(args, _SCAN_COLUMNS, rows, {"command": "scan", "rows": rows})
 
 
 # ------------------------------------------------------------------- canon
 
-def cmd_canon(args) -> int:
+def cmd_canon(args) -> None:
     digits = parse_digits(args.digits)
     form = canonicalize(digits)
     cls = form.sequence_class
@@ -229,32 +230,36 @@ def cmd_canon(args) -> int:
             last_block_partial=True,  # the string's end always cuts the last block
             block_source="input" if cls is SequenceClass.FIRST_ONE else "negated_input",
         )
-    _emit_json(payload, args.out)
-    return 0
+    # `value` is written in full: Python 3.11's int-to-decimal cap is lifted meanwhile
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit_json(payload, args.out)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ------------------------------------------------------------------- stats
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     if args.mode == "exhaustive":
         cls = SequenceClass(args.cls)
         report = exhaustive_expectations(args.n, cls)
     else:
         report = monte_carlo_frequencies(args.n, args.trials, args.seed)
     d = report.to_dict()
-    if args.format == "csv":
-        rows = [dict(zip(("row", "col", "parity"), key.split("|")), **cell)
-                for key, cell in d["cells"].items()]
-        _emit(_csv(("row", "col", "parity", "count", "frequency", "stderr"), rows), args.out)
-    else:
-        seed = args.seed if args.mode == "mc" else None
-        _emit_json({"command": "stats", "seed": seed, **d}, args.out)
-    return 0
+    rows = [dict(zip(("row", "col", "parity"), key.split("|")), **cell)
+            for key, cell in d["cells"].items()]
+    seed = args.seed if args.mode == "mc" else None
+    _emit_table(args, ("row", "col", "parity", "count", "frequency", "stderr"), rows,
+                {"command": "stats", "seed": seed, **d})
 
 
 # ------------------------------------------------------------------ bounds
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> None:
     payload: dict = {
         "command": "bounds",
         "constants": asdict(bounds_mod.compute_constants()),
@@ -290,7 +295,6 @@ def cmd_bounds(args) -> int:
             "stirling": asdict(stirling),
         }
     _emit_json(payload, args.out)
-    return 0
 
 
 # ---------------------------------------------------------------- simulate
@@ -313,7 +317,7 @@ def _emit_histogram(head: str, row: str, last: str, residues, counts, out: str |
     _emit(last % (residues[end], counts[end]), out, append=True)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     params = ProcessParams(args.p, _parse_dist(args.dist))
     p = params.modulus
     cost = (args.steps + _TRIAL_UNITS) * (args.trials + _STEP_UNITS)
@@ -355,7 +359,6 @@ def cmd_simulate(args) -> int:
         # head ends with the empty histogram '{}' and the closing '\n}'
         _emit_histogram(f"{head[:-4]}{{\n", '    "%d": %d,\n', '    "%d": %d\n  }\n}\n',
                         residues, counts, args.out)
-    return 0
 
 
 # ------------------------------------------------------------------ parser
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.005)
     sp.add_argument("--n", type=int, default=None, help="even length for the counts")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_bounds, format="json")
+    sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("simulate", help="Monte Carlo endpoint histogram")
     sp.add_argument("--p", type=int, required=True)
@@ -437,10 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> None:

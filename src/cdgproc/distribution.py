@@ -381,24 +381,19 @@ def typical_set_size(dist: np.ndarray, delta: float, *, mirrored: bool = False) 
     above = float(from_top[buckets - 2 - c]) if c < buckets - 1 else 0.0
     ceiling = lo + ((c + 1) << shift)  # the smallest pattern above bucket c
 
-    def split(x, buf):  # the count above bucket c, and a list of its masses
+    def split(x, buf):  # [the count above bucket c, its masses]; the lists join
         b = x.view(np.int64)
         inside = np.greater_equal(b, floor, out=buf)
         inside &= b < ceiling
-        return np.count_nonzero(b >= ceiling), [x[inside]]
-
-    def gather(a, b):  # counts add, lists of masses join
-        parts = a[1]
-        parts += b[1]
-        return a[0] + b[0], parts
+        return [np.count_nonzero(b >= ceiling), x[inside]]
 
     while True:
         floor = lo + (c << shift) if c else np.iinfo(np.int64).min
-        count, parts = _fold(dist, split, gather, bool, mirrored=mirrored)
-        cum = _running_sums(above, np.concatenate(parts))
+        parts = _fold(dist, split, operator.iadd, bool, mirrored=mirrored)
+        cum = _running_sums(above, np.concatenate(parts[1::2]))
         k = int(np.searchsorted(cum, target, side="left"))
         if k < cum.size:
-            return int(count) + k + 1
+            return int(sum(parts[::2])) + k + 1
         above = float(cum[-1])
         # the buckets between are empty, and zeros add nothing
         lower = np.flatnonzero(hist[:c] > 0.0)

@@ -4,12 +4,13 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import cdgproc
 from cdgproc import bounds, canonical, cli, distribution, process, stats
 from cdgproc.cli import MAX_TRACE_STEPS, _emit_json, build_parser, main
 from cdgproc.process import is_prime
-from oracles import simulate_endpoints
+from oracles import horner_value, simulate_endpoints
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,23 @@ def child_peak_kib(*args):
     )
     code, peak_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
     return code, peak_kib
+
+
+def int_text_limit() -> int:
+    """The interpreter's cap on int <-> decimal text (Python 3.11 on), 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextmanager
+def int_text_unlimited():
+    limit = int_text_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def run_json(capsys, schema, *argv):
@@ -312,6 +330,40 @@ class TestCanon:
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "canon", "0+2")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("digits", [
+        "+" * 20_000,
+        # about the longest one argument can be on Linux (128 KiB)
+        "".join(random.Random(26).choices("+-0", k=130_000)),
+    ], ids=["plus_20000", "mixed_130000"])
+    def test_long_value_is_written_in_full(self, capsys, schema, digits):
+        # lengths are never capped: `value` is the whole JSON integer, past the
+        # interpreter's 4300-digit default for int text, and that cap is left as found
+        limit = int_text_limit()
+        code, out, err = run_cli(capsys, "canon", "--", digits)
+        assert code == 0, err
+        assert int_text_limit() == limit
+        with int_text_unlimited():
+            payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        expected = horner_value({"+": 1, "0": 0, "-": -1}[c] for c in digits)
+        assert payload["value"] == expected == process.value_of(process.parse_digits(digits))
+        if digits == "+" * 20_000:
+            assert expected == 2**20_000 - 1
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text cap")
+    def test_int_text_cap_is_put_back_after_success_and_failure(self, capsys, tmp_path):
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(5000)
+            assert run_cli(capsys, "canon", "+" * 20_000)[0] == 0
+            assert sys.get_int_max_str_digits() == 5000
+            # --out names a directory: the write fails after the cap was lifted
+            code, _, err = run_cli(capsys, "canon", "+" * 20_000, f"--out={tmp_path}")
+            assert_one_line_error(code, err)
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestStats:
@@ -613,6 +665,32 @@ class TestSimulate:
 
         peak(100)
         assert peak(4 << 14) <= peak(1 << 14) + (1 << 17)
+
+
+class TestEmit:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--p", "101", "--steps", "6"),
+        ("scan", "--primes", "3,101"),
+        ("stats", "--mode", "exhaustive", "--n", "6"),
+        ("stats", "--mode", "mc", "--n", "8", "--trials", "30", "--seed", "2"),
+    ], ids=lambda a: "-".join(a[:1] + a[2:3]))
+    def test_table_output_goes_through_emit(self, capsys, monkeypatch, argv, fmt):
+        # every byte these commands write passes through _emit's `text`, in either format
+        emit, texts = cli._emit, []
+
+        def spy(*args, **kwargs):
+            texts.append(inspect.signature(emit).bind(*args, **kwargs).arguments["text"])
+            return emit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        code, out, err = run_cli(capsys, *argv, f"--format={fmt}")
+        assert code == 0, err
+        assert texts and "".join(texts) == out
+        if fmt == "json":
+            assert json.loads(out)["command"] == argv[0]
+        else:
+            assert out.count("\n") > 1 and not out.startswith("{")
 
 
 class TestCostLimits:

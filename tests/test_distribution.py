@@ -524,6 +524,13 @@ class TestBlockedFunctionals:
         assert 1.0 - delta == target
         assert sorted_typical_set_size(mass, delta) == 2002
         assert typical_set_size(mass, delta) == 2002
+        # a mirrored half standing for the same 10001 masses: 0.5 at x = 0, counted
+        # once, and half of each other kind, every one counted twice in every part
+        half = np.concatenate((np.full(1000, 2.0**-20 + 2.0**-54), np.full(4000, 2.0**-30)))
+        np.random.default_rng(4).shuffle(half)
+        half = np.concatenate(([0.5], half))
+        assert sorted_typical_set_size(unfold_mirrored(half), delta) == 2002
+        assert typical_set_size(half, delta, mirrored=True) == 2002
 
     @pytest.mark.parametrize(
         "p, q",
