@@ -28,10 +28,7 @@ import numpy as np
 __all__ = [
     "BoundConstants",
     "CountRegion",
-    "DomainError",
     "EXACT_COUNT_MAX_N",
-    "EmptyRangeError",
-    "EmptyRegionError",
     "MAX_COUNT_COST",
     "RegionCount",
     "SELECTORS",
@@ -64,18 +61,6 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 #: ln k! for k below the table's length; Stirling's series from there on
 _LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(256)])
-
-
-class DomainError(ValueError):
-    """Argument outside the validity range of a bound."""
-
-
-class EmptyRangeError(ValueError):
-    """The binomial tail range contains no integer."""
-
-
-class EmptyRegionError(ValueError):
-    """The constraint region contains no integer tuple."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +110,7 @@ def c2_of_eps(eps: float) -> float:
     exceeds 1 on the whole validity range 0 < eps < 0.1.
     """
     if not 0.0 < eps < 0.1:
-        raise DomainError(f"eps {eps} outside (0, 0.1)")
+        raise ValueError(f"eps {eps} outside (0, 0.1)")
     a, b = 0.4 + eps, 0.6 - eps
     return 1.0 / -(a * math.log2(a) + b * math.log2(b))
 
@@ -147,13 +132,19 @@ def _log_factorial(k):
     return np.where(k < size, _LOG_FACTORIALS[np.minimum(k, size - 1)], large)
 
 
-def _logsumexp(x) -> float:
-    """ln of the sum of exp(x), shifted by the maximum; -inf when every entry is -inf."""
+def _logsumexp(x, axis=None):
+    """ln of the sum of exp(x) along axis, shifted by the maximum; -inf where every entry is -inf.
+
+    x may be overwritten: the maximum is subtracted and exponentiated in place,
+    so callers pass fresh temporaries.
+    """
     x = np.asarray(x, dtype=np.float64)
-    top = x.max()
-    if top == -np.inf:
-        return -math.inf
-    return float(top + np.log(np.exp(x - top).sum()))
+    top = x.max(axis=axis, keepdims=True)
+    top[top == -np.inf] = 0.0  # an all -inf slice then sums to 0, whose log is -inf
+    x -= top
+    np.exp(x, out=x)
+    with np.errstate(divide="ignore"):
+        return np.log(x.sum(axis=axis)) + top.squeeze(axis)
 
 
 def _log2_sum(log_terms, lo: int, hi: int, width: int = 1) -> float:
@@ -166,7 +157,7 @@ def _log2_sum(log_terms, lo: int, hi: int, width: int = 1) -> float:
     step = max(1, _BLOCK_CELLS // width)
     parts = [_logsumexp(log_terms(np.arange(j, min(j + step, hi + 1))))
              for j in range(lo, hi + 1, step)]
-    return _logsumexp(parts) / _LN2
+    return float(_logsumexp(parts)) / _LN2
 
 
 def _tail_bounds(n: int, eps: float) -> tuple[int, int]:
@@ -177,7 +168,7 @@ def _tail_bounds(n: int, eps: float) -> tuple[int, int]:
 def _tail_range(n: int, eps: float) -> tuple[int, int]:
     """The binomial tail's j range, checked to be non-empty."""
     if n < 1:
-        raise DomainError(f"length {n} must be at least 1")
+        raise ValueError(f"length {n} must be at least 1")
     if not (0.0 < eps and 0.4 + eps < 0.5):
         warnings.warn(
             f"eps {eps} outside (0, 0.1): the count is still computed, but the "
@@ -186,7 +177,7 @@ def _tail_range(n: int, eps: float) -> tuple[int, int]:
         )
     lo, hi = _tail_bounds(n, eps)
     if lo > hi:
-        raise EmptyRangeError(f"no integer j satisfies the range for n={n}, eps={eps}")
+        raise ValueError(f"no integer j satisfies the range for n={n}, eps={eps}")
     return lo, hi
 
 
@@ -232,11 +223,11 @@ class CountRegion:
 
     def __post_init__(self) -> None:
         if self.kind not in ("R", "S"):
-            raise DomainError(f"region kind {self.kind!r} must be 'R' or 'S'")
+            raise ValueError(f"region kind {self.kind!r} must be 'R' or 'S'")
         if self.n < 2 or self.n % 2:
-            raise DomainError(f"length {self.n} must be even and at least 2")
+            raise ValueError(f"length {self.n} must be even and at least 2")
         if self.eps <= 0:
-            raise DomainError(f"eps {self.eps} must be positive")
+            raise ValueError(f"eps {self.eps} must be positive")
 
 
 def _region_ranges(region: CountRegion) -> list[tuple[int, int]]:
@@ -284,7 +275,7 @@ def multinomial_region_count(region: CountRegion, method: str = "auto") -> Regio
     m = region.n // 2
     ranges = _region_ranges(region)
     if any(lo > hi for lo, hi in ranges):
-        raise EmptyRegionError(f"{region} contains no integer tuple")
+        raise ValueError(f"{region} contains no integer tuple")
 
     if region.kind == "R":
         # l2..l4 are unconstrained, so their inner sum collapses to 3^(m - l1)
@@ -297,7 +288,7 @@ def multinomial_region_count(region: CountRegion, method: str = "auto") -> Regio
     (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4) = ranges
     s_lo, s_hi = _s_totals(ranges, m)
     if s_lo > s_hi:
-        raise EmptyRegionError(f"{region} contains no integer tuple")
+        raise ValueError(f"{region} contains no integer tuple")
     if method == "exact":
         count = sum(
             math.comb(m, s)
@@ -323,21 +314,14 @@ def _log_pair_sums(lo_a: int, hi_a: int, lo_b: int, hi_b: int, t_lo: int, t_hi: 
     a runs over [lo_a, hi_a] and b over [lo_b, hi_b].  The map builds one grid
     row per total and one column per a, from a table of b's terms padded with
     -inf outside [lo_b, hi_b]: with a descending, row t is the table's window
-    starting at b = t - hi_a.  Each row then gets its own logsumexp.
+    starting at b = t - hi_a.  Each row then gets its own _logsumexp.
     """
     log_a = -_log_factorial(np.arange(hi_a, lo_a - 1, -1))
     b = np.arange(t_lo - hi_a, t_hi - lo_a + 1)
     log_b = np.where((lo_b <= b) & (b <= hi_b), -_log_factorial(np.clip(b, lo_b, hi_b)), -np.inf)
     windows = np.lib.stride_tricks.sliding_window_view(log_b, log_a.size)
 
-    def sums(t):
-        grid = windows[t - t_lo] + log_a
-        top = grid.max(axis=1)  # finite: every total in range has an allowed (a, b)
-        grid -= top[:, None]
-        np.exp(grid, out=grid)
-        return np.log(grid.sum(axis=1)) + top
-
-    return sums
+    return lambda t: _logsumexp(windows[t - t_lo] + log_a, axis=1)
 
 
 def count_cost(n: int, eps: float) -> int:
@@ -377,9 +361,9 @@ def stirling_upper_bound(n: int, eps: float) -> StirlingBound:
     the kind-R rate `_basic_exponent(eps)`.
     """
     if n < 2 or n % 2:
-        raise DomainError(f"length {n} must be even and at least 2")
+        raise ValueError(f"length {n} must be even and at least 2")
     if not (0.0 < eps and 2 / 18 + eps / 2 < 1 / 8):
-        raise DomainError(f"eps {eps} outside the bound's validity range")
+        raise ValueError(f"eps {eps} outside the bound's validity range")
     exponent = _basic_exponent(eps)
     return StirlingBound(exponent=exponent, log2_bound=exponent * n, prefactor_degree=3)
 
@@ -395,7 +379,7 @@ def predict_threshold(p: int, which: str) -> int:
     every residue); the other selectors name fields of BoundConstants.
     """
     if p < 3:
-        raise DomainError(f"modulus {p} must be at least 3")
+        raise ValueError(f"modulus {p} must be at least 3")
     if which not in SELECTORS:
         raise ValueError(f"unknown selector {which!r}; choose from {SELECTORS}")
     if which == "support":

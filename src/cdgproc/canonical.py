@@ -30,16 +30,11 @@ __all__ = [
     "ROW_LABELS",
     "SequenceClass",
     "TABLE_LIMITS",
-    "WrongClassError",
     "canonicalize",
     "classify",
     "decompose_blocks",
     "pair_cell",
 ]
-
-
-class WrongClassError(ValueError):
-    """Operation called on a digit string of an unsupported class."""
 
 
 class SequenceClass(enum.Enum):
@@ -196,7 +191,7 @@ def decompose_blocks(digits) -> BlockDecomposition:
     arr = as_digit_array(digits)
     cls = classify(arr)
     if cls is not SequenceClass.FIRST_ONE:
-        raise WrongClassError(
+        raise ValueError(
             f"block decomposition needs a first-1 string, got {cls.value}"
             + (" (negate the digits first)" if cls is SequenceClass.FIRST_MINUS_ONE else "")
         )

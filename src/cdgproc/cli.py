@@ -208,9 +208,10 @@ def cmd_canon(args) -> None:
     digits = parse_digits(args.digits)
     form = canonicalize(digits)
     cls = form.sequence_class
+    text = format_digits(digits)
     payload = {
         "command": "canon",
-        "input": format_digits(digits),
+        "input": text,
         "class": cls.value,
         "value": value_of(digits),
         "canonical": format_digits(form.digits),
@@ -223,9 +224,12 @@ def cmd_canon(args) -> None:
     if cls is not SequenceClass.ALL_ZERO:
         source = digits if cls is SequenceClass.FIRST_ONE else -digits
         dec = decompose_blocks(source)
+        # every block is a slice of the source's text, cut at the block starts
+        source_text = text if cls is SequenceClass.FIRST_ONE else format_digits(source)
+        cuts = [*dec.start_positions, len(source_text)]
         payload.update(
             leading_zeros=dec.leading_zeros,
-            blocks=[format_digits(b) for b in dec.blocks],
+            blocks=[source_text[s:e] for s, e in zip(cuts, cuts[1:])],
             start_positions=list(dec.start_positions),
             last_block_partial=True,  # the string's end always cuts the last block
             block_source="input" if cls is SequenceClass.FIRST_ONE else "negated_input",

@@ -35,8 +35,6 @@ from .process import ProcessParams
 
 __all__ = [
     "MAX_MODULUS",
-    "ModulusMismatchError",
-    "ModulusTooLargeError",
     "TraceRow",
     "check_modulus",
     "entropy_bits",
@@ -69,20 +67,10 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _STEP_BLOCK = 1 << 14
 
 
-class ModulusTooLargeError(ValueError):
-    """Modulus exceeds the dense-vector memory guard."""
-
-
-class ModulusMismatchError(ValueError):
-    """Distribution length and parameter modulus disagree."""
-
-
 def check_modulus(p: int) -> None:
     """Refuse a modulus whose dense vectors would exceed the guard `MAX_MODULUS`."""
     if p > MAX_MODULUS:
-        raise ModulusTooLargeError(
-            f"modulus {p} exceeds guard {MAX_MODULUS}; use `cdg simulate` above it"
-        )
+        raise ValueError(f"modulus {p} exceeds guard {MAX_MODULUS}; use `cdg simulate` above it")
 
 
 def initial_dist(p: int) -> np.ndarray:
@@ -199,9 +187,7 @@ def step(dist: np.ndarray, params: ProcessParams) -> np.ndarray:
     dist = np.ascontiguousarray(dist, dtype=np.float64)
     p = params.modulus
     if dist.shape != (p,):
-        raise ModulusMismatchError(
-            f"distribution has length {dist.shape}, parameters have modulus {p}"
-        )
+        raise ValueError(f"distribution has length {dist.shape}, parameters have modulus {p}")
     return _apply_step(dist, params, np.empty(p), _step_buffer())
 
 

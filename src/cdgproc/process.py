@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BadDigitError",
-    "BadDistributionError",
-    "DigitParseError",
-    "EvenModulusError",
     "IncrementDistribution",
-    "ModulusTooSmallError",
     "ProcessParams",
     "SIMULATE_BLOCK",
     "SIMULATE_MAX_MODULUS",
@@ -53,26 +48,6 @@ _DRAW_CHUNK = 1 << 16
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class BadDistributionError(ValueError):
-    """Increment probabilities are negative or do not sum to 1."""
-
-
-class EvenModulusError(ValueError):
-    """The modulus must be odd."""
-
-
-class ModulusTooSmallError(ValueError):
-    """The modulus must be at least 3."""
-
-
-class BadDigitError(ValueError):
-    """A digit outside {-1, 0, 1} was supplied."""
-
-
-class DigitParseError(ValueError):
-    """Text is not a valid compact digit string."""
-
-
 @dataclass(frozen=True)
 class IncrementDistribution:
     """Law of one increment: P(b=-1), P(b=0), P(b=+1)."""
@@ -84,11 +59,11 @@ class IncrementDistribution:
     def __post_init__(self) -> None:
         qs = self.as_tuple()
         if not all(math.isfinite(q) for q in qs):
-            raise BadDistributionError(f"non-finite probability in {qs}")
+            raise ValueError(f"non-finite probability in {qs}")
         if any(q < 0 for q in qs):
-            raise BadDistributionError(f"negative probability in {qs}")
+            raise ValueError(f"negative probability in {qs}")
         if abs(sum(qs) - 1.0) > DIST_TOLERANCE:
-            raise BadDistributionError(f"probabilities {qs} sum to {sum(qs)!r}, not 1")
+            raise ValueError(f"probabilities {qs} sum to {sum(qs)!r}, not 1")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.q_minus1, self.q_zero, self.q_plus1)
@@ -112,9 +87,9 @@ class ProcessParams:
     def __post_init__(self) -> None:
         p = self.modulus
         if p < 3:
-            raise ModulusTooSmallError(f"modulus {p} is below 3")
+            raise ValueError(f"modulus {p} is below 3")
         if p % 2 == 0:
-            raise EvenModulusError(f"modulus {p} is even")
+            raise ValueError(f"modulus {p} is even")
 
 
 def as_digit_array(digits) -> np.ndarray:
@@ -123,14 +98,14 @@ def as_digit_array(digits) -> np.ndarray:
     if arr.size == 0:
         return np.zeros(0, dtype=np.int8)
     if arr.ndim != 1:
-        raise BadDigitError(f"expected a 1-d digit sequence, got shape {arr.shape}")
+        raise ValueError(f"expected a 1-d digit sequence, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         cast = arr.astype(np.int64)
         if not np.array_equal(cast, arr):
-            raise BadDigitError("digits must be integers")
+            raise ValueError("digits must be integers")
         arr = cast
     if arr.min() < -1 or arr.max() > 1:
-        raise BadDigitError("digits must lie in {-1, 0, 1}")
+        raise ValueError("digits must lie in {-1, 0, 1}")
     return arr.astype(np.int8, copy=False)
 
 
@@ -150,7 +125,8 @@ def value_of(digits) -> int:
 
 
 _CHAR_TO_DIGIT = {"+": 1, "1": 1, "0": 0, "-": -1}
-_DIGIT_TO_CHAR = {1: "+", 0: "0", -1: "-"}
+#: the character of digit d at index d + 1
+_DIGIT_CHARS = np.frombuffer(b"-0+", dtype=np.uint8)
 
 
 def parse_digits(text: str) -> np.ndarray:
@@ -159,13 +135,12 @@ def parse_digits(text: str) -> np.ndarray:
     try:
         return np.array([_CHAR_TO_DIGIT[ch] for ch in text], dtype=np.int8)
     except KeyError as exc:
-        raise DigitParseError(f"invalid digit character {exc.args[0]!r}") from None
+        raise ValueError(f"invalid digit character {exc.args[0]!r}") from None
 
 
 def format_digits(digits) -> str:
     """Render digits as compact text using '+', '0', '-'."""
-    arr = as_digit_array(digits)
-    return "".join(_DIGIT_TO_CHAR[int(d)] for d in arr)
+    return _DIGIT_CHARS[as_digit_array(digits) + 1].tobytes().decode("ascii")
 
 
 def is_prime(n: int) -> bool:

@@ -60,7 +60,6 @@ __all__ = [
     "FrequencyReport",
     "MAX_MC_COST",
     "MAX_MC_LENGTH",
-    "TooLargeError",
     "class_probability",
     "event_probabilities",
     "exhaustive_expectations",
@@ -118,10 +117,6 @@ def _pair_table() -> tuple[np.ndarray, np.ndarray]:
 
 # cell code ((row * 4) + col) * 2 + parity at each pair index; index pairs sharing a cell
 _CODE36, _SHARED = _pair_table()
-
-
-class TooLargeError(ValueError):
-    """Length exceeds the exhaustive bound EXHAUSTIVE_MAX_N."""
 
 
 def _pair_codes(raw: np.ndarray, canon: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -274,10 +269,9 @@ class FrequencyReport:
         }
 
 
-def _digit_matrix(lo: int, hi: int, n: int) -> np.ndarray:
-    """Rows lo..hi-1 of the base-3 enumeration of all length-n strings, as int8 digits."""
-    pows = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (np.arange(lo, hi, dtype=np.int64)[:, None] // pows % 3 - 1).astype(np.int8)
+def _digit_matrix() -> np.ndarray:
+    """The 27 first-1 windows (1, b_{a-1}, b_a, s) as int8 rows, the last digit varying fastest."""
+    return np.array([(1, *w) for w in itertools.product((-1, 0, 1), repeat=3)], dtype=np.int8)
 
 
 def exhaustive_expectations(
@@ -301,11 +295,11 @@ def exhaustive_expectations(
     if n < 1:
         raise ValueError(f"length {n} must be at least 1")
     if n > EXHAUSTIVE_MAX_N:
-        raise TooLargeError(f"length {n} exceeds exhaustive bound {EXHAUSTIVE_MAX_N}")
+        raise ValueError(f"length {n} exceeds exhaustive bound {EXHAUSTIVE_MAX_N}")
     if sequence_class is SequenceClass.ALL_ZERO:
         raise ValueError("cannot condition on the all-zero class")
 
-    windows = _digit_matrix(2 * 27, 3 * 27, 4)  # the 27 strings (1, b_{a-1}, b_a, s)
+    windows = _digit_matrix()
     index = _pair_codes(windows, _canonicalize_matrix(windows))[:, 1].astype(np.intp)
     lead = _first_nonzero_sign(windows[:, 1:]) == 1
     nonzero_s = windows[:, 3] != 0

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from cdgproc.bounds import (
     CountRegion,
-    DomainError,
-    EmptyRangeError,
-    EmptyRegionError,
     binomial_tail_count,
     c2_of_eps,
     compute_constants,
@@ -62,7 +59,7 @@ class TestC2:
 
     @pytest.mark.parametrize("eps", [0.0, -0.01, 0.1, 0.2])
     def test_domain(self, eps):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^eps .* outside \(0, 0\.1\)$"):
             c2_of_eps(eps)
 
 
@@ -79,7 +76,9 @@ class TestBinomialTail:
             for eps in (0.01, 0.05, 0.099):
                 try:
                     got = binomial_tail_count(n, eps)
-                except EmptyRangeError:
+                except ValueError as exc:
+                    if not str(exc).startswith("no integer j satisfies the range"):
+                        raise
                     continue
                 assert got == pascal_binomial_tail(n, eps)
 
@@ -88,7 +87,7 @@ class TestBinomialTail:
             assert binomial_tail_count(10, 0.7) == 2**10
 
     def test_empty_range(self):
-        with pytest.raises(EmptyRangeError):
+        with pytest.raises(ValueError, match="no integer j satisfies the range for n=3,"):
             binomial_tail_count(3, 0.01)
 
     def test_growth_rate_stays_below_one(self):
@@ -104,9 +103,9 @@ class TestBinomialTail:
         assert log2_binomial_tail(n, eps) == pytest.approx(exact, rel=1e-12)
 
     def test_log2_checks_like_exact_count(self):
-        with pytest.raises(EmptyRangeError):
+        with pytest.raises(ValueError, match="no integer j satisfies the range for n=3,"):
             log2_binomial_tail(3, 0.01)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^length 0 must be at least 1$"):
             log2_binomial_tail(0, 0.01)
         with pytest.warns(UserWarning):
             assert log2_binomial_tail(10, 0.7) == pytest.approx(10.0, rel=1e-12)
@@ -174,6 +173,8 @@ class TestLogSumExp:
     def test_all_negative_infinite(self):
         assert _logsumexp([-math.inf]) == -math.inf
         assert _logsumexp(np.full(4, -np.inf)) == -math.inf
+        rows = _logsumexp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]), axis=1)
+        assert rows[0] == -math.inf and rows[1] == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 class TestLogGammaAgainstBigIntegers:
@@ -210,11 +211,11 @@ class TestLogGammaAgainstBigIntegers:
 
 class TestCountRegion:
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^region kind 'X' must be 'R' or 'S'$"):
             CountRegion("X", 10, 0.01)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^length 9 must be even and at least 2$"):
             CountRegion("R", 9, 0.01)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^eps 0\.0 must be positive$"):
             CountRegion("S", 10, 0.0)
 
 
@@ -246,7 +247,7 @@ class TestRegionCounts:
             assert rc.count == string_count_in_region(n // 2, _region_ranges(region))
 
     def test_empty_region(self):
-        with pytest.raises(EmptyRegionError):
+        with pytest.raises(ValueError, match=r"contains no integer tuple$"):
             multinomial_region_count(CountRegion("S", 10, 0.005))
 
     def test_log2_of_exact_count(self):
@@ -279,7 +280,9 @@ class TestRegionCounts:
         want = string_count_in_region(m, _region_ranges(region))
         try:
             got = multinomial_region_count(region).count
-        except EmptyRegionError:
+        except ValueError as exc:
+            if not str(exc).endswith("contains no integer tuple"):
+                raise
             got = 0
         assert got == want
 
@@ -328,7 +331,8 @@ class TestStirlingBound:
 
     @pytest.mark.parametrize("n,eps", [(99, 0.01), (100, 0.0), (100, 0.03), (100, -0.1)])
     def test_domain(self, n, eps):
-        with pytest.raises(DomainError):
+        message = "must be even and at least 2" if n % 2 else "outside the bound's validity range"
+        with pytest.raises(ValueError, match=message):
             stirling_upper_bound(n, eps)
 
 
@@ -352,5 +356,5 @@ class TestPredictThreshold:
             predict_threshold(101, "c3")
 
     def test_small_modulus(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^modulus 2 must be at least 3$"):
             predict_threshold(2, "support")

@@ -6,7 +6,6 @@ from cdgproc.canonical import (
     ROW_LABELS,
     SequenceClass,
     TABLE_LIMITS,
-    WrongClassError,
     _canonicalize_matrix,
     canonicalize,
     classify,
@@ -212,11 +211,11 @@ class TestDecomposeBlocks:
         assert dec.blocks == ((1, 0, 0),)
 
     def test_wrong_class_all_zero(self):
-        with pytest.raises(WrongClassError):
+        with pytest.raises(ValueError, match=r"needs a first-1 string, got all_zero$"):
             decompose_blocks([0, 0])
 
     def test_wrong_class_first_minus_one(self):
-        with pytest.raises(WrongClassError):
+        with pytest.raises(ValueError, match=r"got first_minus_one \(negate the digits first\)$"):
             decompose_blocks([-1, 1])
 
     def test_roundtrip_exhaustive(self):

@@ -331,6 +331,23 @@ class TestCanon:
         code, _, err = run_cli(capsys, "canon", "0+2")
         assert code == 1 and "error" in err
 
+    @settings(max_examples=60, deadline=None)
+    @given(zeros=st.integers(min_value=0, max_value=40), first=st.sampled_from("+-"),
+           rest=st.text(alphabet="+0-", max_size=5000 - 41))
+    def test_blocks_cut_the_source_text(self, zeros, first, rest):
+        # the source is the input, or its negation for the first-minus-1 class; its text
+        # is the leading zeros, then the blocks, each cut before one '+'
+        text = "0" * zeros + first + rest
+        code, out, err = run_captured("canon", "--", text)
+        assert code == 0, err
+        payload = json.loads(out)
+        source = text if first == "+" else text.translate(str.maketrans("+-", "-+"))
+        assert payload["block_source"] == ("input" if first == "+" else "negated_input")
+        blocks = payload["blocks"]
+        assert "0" * payload["leading_zeros"] + "".join(blocks) == source
+        assert all(b.startswith("+") and b.count("+") == 1 for b in blocks)
+        assert payload["start_positions"] == [i for i, c in enumerate(source) if c == "+"]
+
     @pytest.mark.parametrize("digits", [
         "+" * 20_000,
         # about the longest one argument can be on Linux (128 KiB)
@@ -843,6 +860,24 @@ class TestInputContract:
     def test_bad_dist_is_one_line_error(self, capsys, command, dist):
         code, _, err = run_cli(capsys, *command, "--dist", dist, "--format", "json")
         assert_one_line_error(code, err)
+
+    @pytest.mark.parametrize("argv, line", [
+        (("evolve", "--p", "4", "--steps", "1"), "modulus 4 is even"),
+        (("evolve", "--p", "1", "--steps", "1"), "modulus 1 is below 3"),
+        (("evolve", "--p", "11", "--steps", "2", "--dist", "0.5,0.5,0.5"),
+         "probabilities (0.5, 0.5, 0.5) sum to 1.5, not 1"),
+        (("canon", "+x"), "invalid digit character 'x'"),
+        (("evolve", "--p", "67108865", "--steps", "1"),
+         "modulus 67108865 exceeds guard 67108864; use `cdg simulate` above it"),
+        (("bounds", "--eps", "0.2"), "eps 0.2 outside (0, 0.1)"),
+        (("bounds", "--n", "2"), "no integer j satisfies the range for n=2, eps=0.005"),
+        (("bounds", "--n", "20", "--eps", "1e-300"),
+         "CountRegion(kind='S', n=20, eps=1e-300) contains no integer tuple"),
+        (("stats", "--mode", "exhaustive", "--n", "15"), "length 15 exceeds exhaustive bound 14"),
+    ])
+    def test_refusal_line_is_pinned(self, argv, line):
+        # one input for each library refusal the CLI can reach: exit 1, this line, no output
+        assert run_captured(*argv) == (1, "", f"error: {line}\n")
 
     def test_simulate_negative_steps_is_error(self, capsys):
         code, out, err = run_cli(

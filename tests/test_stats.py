@@ -9,7 +9,6 @@ from cdgproc import stats
 from cdgproc.canonical import SequenceClass, TABLE_LIMITS, _canonicalize_matrix, pair_cell
 from cdgproc.stats import (
     BlockEventReport,
-    TooLargeError,
     class_probability,
     event_probabilities,
     exhaustive_expectations,
@@ -246,28 +245,6 @@ class TestExhaustive:
         assert rep.trials == (3**n - 1) // 2
         assert rep.counts.ravel().tolist() == PINNED_EXHAUSTIVE[n]
 
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_first_one_strings_are_the_upper_index_range(self, n):
-        # base-3 row i minus (3^n - 1)/2 is a balanced-ternary value with the row's digits
-        mat = all_digit_matrix(n)
-        signs = _signs(mat)
-        mid = (3**n - 1) // 2
-        np.testing.assert_array_equal(
-            stats._digit_matrix(mid + 1, 3**n, n), mat[signs == 1]
-        )
-        assert not mat[mid].any()
-        assert (signs[:mid] == -1).all()
-
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_digit_matrix_on_unaligned_ranges(self, n):
-        # ranges with unaligned ends, against the oracle's enumeration of every string
-        mat = all_digit_matrix(n)
-        for lo in {0, 1, 3 ** (n // 2) - 1, (3**n + 1) // 2}:
-            for hi in {lo + 1, 3**n}:
-                rows = stats._digit_matrix(lo, hi, n)
-                assert rows.dtype == np.int8
-                np.testing.assert_array_equal(rows, mat[lo:hi])
-
     def test_peak_memory_does_not_grow_with_3_to_the_n(self):
         # 27 windows a position and no enumerated rows: about 7 KB at any n
         def peak(n):
@@ -287,7 +264,7 @@ class TestExhaustive:
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_too_large(self):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(ValueError, match=r"^length 15 exceeds exhaustive bound 14$"):
             exhaustive_expectations(15)
 
     def test_all_zero_conditioning_rejected(self):
