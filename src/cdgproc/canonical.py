@@ -17,7 +17,7 @@ by the raw pair (b_{a-1}, b_a) (six rows) and the standard-form pair
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,12 +105,20 @@ class BlockDecomposition:
     """Leading zeros plus the block list of a first-1 string.
 
     The final block is always cut by the end of the string: a longer string
-    could extend it.
+    could extend it.  `blocks` is built from the string's int8 bytes on each
+    read, so a caller that needs only the start positions pays for no tuple
+    per block.
     """
 
     leading_zeros: int
-    blocks: tuple[tuple[int, ...], ...]
     start_positions: tuple[int, ...]
+    digit_bytes: bytes = field(repr=False)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        digits = np.frombuffer(self.digit_bytes, dtype=np.int8)
+        ends = (*self.start_positions[1:], digits.size)
+        return tuple(tuple(digits[s:e].tolist()) for s, e in zip(self.start_positions, ends))
 
 
 def classify(digits) -> SequenceClass:
@@ -195,10 +203,8 @@ def decompose_blocks(digits) -> BlockDecomposition:
             f"block decomposition needs a first-1 string, got {cls.value}"
             + (" (negate the digits first)" if cls is SequenceClass.FIRST_MINUS_ONE else "")
         )
-    starts = np.flatnonzero(arr == 1).tolist()
-    ends = starts[1:] + [arr.size]
-    blocks = tuple(tuple(arr[s:e].tolist()) for s, e in zip(starts, ends))
-    return BlockDecomposition(starts[0], blocks, tuple(starts))
+    starts = tuple(np.flatnonzero(arr == 1).tolist())
+    return BlockDecomposition(starts[0], starts, arr.tobytes())
 
 
 def pair_cell(b_prev: int, b_cur: int, bt_prev: int, bt_cur: int) -> tuple[int, int]:

@@ -45,7 +45,7 @@ _SCAN_COLUMNS = ("p", "log2_p", "cross_075", "cross_050", "cross_025", "cross_00
 MAX_TRACE_STEPS = 100_000
 
 #: simulate writes its histogram in pieces of this many rows
-_HISTOGRAM_PIECE = 1 << 16
+_HISTOGRAM_PIECE = 1 << 15
 
 # Cost limits, checked before any work.  At the slowest rates measured on a 2-core
 # Xeon VM (31, 15 and 18 ns a unit; simulate's slowest is a non-uniform law near

@@ -42,7 +42,7 @@ SIMULATE_MAX_MODULUS = 1 << 61
 SIMULATE_BLOCK = 1 << 20
 #: sample_endpoints draws at most this many steps at once: 3^10 table entries, |S| < 2^10
 _MAX_GROUP = 10
-#: trials per generator call, so that a group's draw temporaries stay below 1 MB
+#: trials per generator call, and entries per gather of _tally, so that temporaries stay below 1 MB
 _DRAW_CHUNK = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -207,8 +207,8 @@ def _group_cdf(k: int, dist: IncrementDistribution) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _block_tally(rng, params: ProcessParams, steps: int, trials: int):
-    """Sorted endpoints mod p, and their counts, of `trials` walks drawn k steps at a time.
+def _block_walk(rng, params: ProcessParams, steps: int, trials: int) -> np.ndarray:
+    """Endpoints mod p, unsorted, of `trials` walks drawn k steps at a time.
 
     X_{t+k} = 2^k X_t + S(u): per trial and group one index u below 3^k, whose base-3
     digits are the k increments (see _group_sums), drawn by integers(0, 3^k) as uint32
@@ -241,17 +241,38 @@ def _block_tally(rng, params: ProcessParams, steps: int, trials: int):
                 part += sums.take(u)
             span <<= s
     np.remainder(x, p, out=x)
-    return _tally(x)
+    return x
 
 
 def _tally(x: np.ndarray):
-    """np.unique(x, return_counts=True), sorting x in place instead of a copy of it."""
+    """np.unique(x, return_counts=True), consuming x: its buffer becomes the residues.
+
+    x is sorted in place and its m distinct values are gathered into its own prefix;
+    the offsets where its runs start become the counts in place.  So beside x a call
+    holds a bool mask of x's size and the m offsets, and no other array above 1 MB.
+    x is then cut to its first m entries: in place when nothing else refers to it (a
+    caller that passes the only reference hands the buffer over), else by a copy.
+    """
     x.sort()
     change = np.empty(x.size, dtype=bool)
     change[:1] = True
     np.not_equal(x[1:], x[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    return x[change], np.diff(starts, append=x.size)
+    del change
+    m = starts.size
+    for lo in range(0, m, _DRAW_CHUNK):
+        hi = min(lo + _DRAW_CHUNK, m)
+        # starts[i] >= i, so a piece reads no entry of x that an earlier piece wrote
+        x.take(starts[lo:hi], out=x[lo:hi])
+        # and it reads the next piece's first offset before that becomes a count
+        ends = starts[lo + 1:hi + 1]
+        np.subtract(ends, starts[lo:lo + ends.size], out=starts[lo:lo + ends.size])
+    starts[m - 1:] = x.size - starts[m - 1:]  # the last run ends with x
+    try:
+        x.resize(m)  # numpy refuses while another name or a view refers to x
+    except ValueError:
+        x = x[:m].copy()
+    return x, starts
 
 
 def _merge_tally(residues, counts, new, new_counts):
@@ -271,7 +292,7 @@ def sample_endpoints(params: ProcessParams, steps: int, trials: int, seed) -> tu
     """Endpoints X_steps of `trials` walks from 0: ascending distinct residues, and counts.
 
     The trials come in blocks from substreams(seed, trials, SIMULATE_BLOCK),
-    one index below 3^k per trial and group of k <= 10 steps (see _block_tally).
+    one index below 3^k per trial and group of k <= 10 steps (see _block_walk).
     Raises ValueError unless trials >= 1, steps >= 0 and modulus <=
     SIMULATE_MAX_MODULUS, checked in that order.
     """
@@ -283,6 +304,7 @@ def sample_endpoints(params: ProcessParams, steps: int, trials: int, seed) -> tu
         raise ValueError(f"modulus {params.modulus} exceeds the int64 simulation limit")
     residues = counts = np.zeros(0, dtype=np.int64)
     for rng, count in substreams(seed, trials, SIMULATE_BLOCK):
-        tally = _block_tally(rng, params, steps, count)
+        # the walk's only reference goes to _tally, which keeps its buffer for the residues
+        tally = _tally(_block_walk(rng, params, steps, count))
         residues, counts = _merge_tally(residues, counts, *tally)
     return residues, counts

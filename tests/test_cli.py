@@ -9,7 +9,6 @@ import re
 import shlex
 import subprocess
 import sys
-import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -665,7 +664,7 @@ class TestSimulate:
         assert_one_line_error(code, err)
         assert out == "" and not path.exists()
 
-    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch, tmp_path):
+    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch, tmp_path, heap_peak):
         # blocks of 2^14 trials at p = 1009: four blocks peak about where one does
         # (holding every trial at once, 4 x 2^14 trials peaked 1.3 MB above 2^14)
         monkeypatch.setattr(process, "SIMULATE_BLOCK", 1 << 14)
@@ -673,12 +672,9 @@ class TestSimulate:
         def peak(trials):
             argv = ["simulate", "--p", "1009", "--steps", "30", "--trials", str(trials),
                     f"--out={tmp_path / 'histogram.json'}"]
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak_bytes = heap_peak(main, argv)
+            assert code == 0
+            return peak_bytes
 
         peak(100)
         assert peak(4 << 14) <= peak(1 << 14) + (1 << 17)

@@ -193,6 +193,28 @@ class TestTally:
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype
 
+    @pytest.mark.parametrize("x", [
+        np.arange(200_000, 0, -1),  # all distinct: the gather moves every entry, in pieces
+        np.full(200_000, -7),  # all equal: one run
+        np.array([5]),
+    ], ids=["distinct", "equal", "single"])
+    def test_returns_owned_arrays(self, x):
+        expected = np.unique(x, return_counts=True)
+        held = x.copy()  # a buffer its caller still refers to is copied, not cut in place
+        for residues, counts in (process._tally(x.copy()), process._tally(held)):
+            np.testing.assert_array_equal(residues, expected[0])
+            np.testing.assert_array_equal(counts, expected[1])
+            assert not np.shares_memory(residues, counts)
+
+    def test_heap_peak_of_a_block(self, heap_peak):
+        # every endpoint distinct: beside the walk's 8 B a trial, only the change
+        # mask (1 B) and the start offsets (8 B) may be held at once
+        trials = 1 << 20
+        (residues, _), peak = heap_peak(sample_endpoints, ProcessParams(2**61 - 1), 60,
+                                        trials, 29)
+        assert residues.size == trials
+        assert peak <= 20 * trials
+
 
 class TestSampleTrajectory:
     """Walks of the chain, sampled through sample_endpoints, its one sampler."""
