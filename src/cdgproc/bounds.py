@@ -169,6 +169,8 @@ def _tail_range(n: int, eps: float) -> tuple[int, int]:
     """The binomial tail's j range, checked to be non-empty."""
     if n < 1:
         raise ValueError(f"length {n} must be at least 1")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps {eps} must be finite")
     if not (0.0 < eps and 0.4 + eps < 0.5):
         warnings.warn(
             f"eps {eps} outside (0, 0.1): the count is still computed, but the "
@@ -226,6 +228,8 @@ class CountRegion:
             raise ValueError(f"region kind {self.kind!r} must be 'R' or 'S'")
         if self.n < 2 or self.n % 2:
             raise ValueError(f"length {self.n} must be even and at least 2")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"eps {self.eps} must be finite")
         if self.eps <= 0:
             raise ValueError(f"eps {self.eps} must be positive")
 
@@ -332,8 +336,8 @@ def count_cost(n: int, eps: float) -> int:
     tail and R term counts as _TERM_COST cells.  The log-domain sums run in
     blocks, so memory stays bounded and the estimate tracks time.
     """
+    _, cap = _region_ranges(CountRegion("R", n, eps))[0]  # refuses what the counts refuse
     lo, hi = _tail_bounds(n, eps)
-    _, cap = _region_ranges(CountRegion("R", n, eps))[0]
     ranges = _region_ranges(CountRegion("S", n, eps))
     s_lo, s_hi = _s_totals(ranges, n // 2)
     widths = [max(hi_k - lo_k + 1, 0) for lo_k, hi_k in ranges]

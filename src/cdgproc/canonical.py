@@ -17,7 +17,7 @@ by the raw pair (b_{a-1}, b_a) (six rows) and the standard-form pair
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,23 +102,14 @@ class CanonicalForm:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Leading zeros plus the block list of a first-1 string.
+    """Leading zeros plus the block starts of a first-1 string.
 
-    The final block is always cut by the end of the string: a longer string
-    could extend it.  `blocks` is built from the string's int8 bytes on each
-    read, so a caller that needs only the start positions pays for no tuple
-    per block.
+    Block i runs from `start_positions[i]` up to the next start, and the final
+    block is always cut by the end of the string: a longer string could extend it.
     """
 
     leading_zeros: int
     start_positions: tuple[int, ...]
-    digit_bytes: bytes = field(repr=False)
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        digits = np.frombuffer(self.digit_bytes, dtype=np.int8)
-        ends = (*self.start_positions[1:], digits.size)
-        return tuple(tuple(digits[s:e].tolist()) for s, e in zip(self.start_positions, ends))
 
 
 def classify(digits) -> SequenceClass:
@@ -191,7 +182,7 @@ def canonicalize(digits) -> CanonicalForm:
 
 
 def decompose_blocks(digits) -> BlockDecomposition:
-    """Split a first-1 string into leading zeros and blocks.
+    """Split a first-1 string into leading zeros and block starts.
 
     Strings of the first-minus-1 class must be negated by the caller first;
     all-zero strings have no blocks at all.
@@ -204,7 +195,7 @@ def decompose_blocks(digits) -> BlockDecomposition:
             + (" (negate the digits first)" if cls is SequenceClass.FIRST_MINUS_ONE else "")
         )
     starts = tuple(np.flatnonzero(arr == 1).tolist())
-    return BlockDecomposition(starts[0], starts, arr.tobytes())
+    return BlockDecomposition(starts[0], starts)
 
 
 def pair_cell(b_prev: int, b_cur: int, bt_prev: int, bt_cur: int) -> tuple[int, int]:

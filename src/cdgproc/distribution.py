@@ -262,9 +262,12 @@ def _fold(dist: np.ndarray, term, combine=operator.add, dtype=np.float64, *, mir
     return combine(combine(total, total), term(dist[:1], buf[:1])) if mirrored else total
 
 
-def _full_size(dist: np.ndarray, mirrored: bool) -> int:
-    """The values a vector stands for: a mirrored one of m values holds 2*m - 1."""
-    return 2 * dist.size - 1 if mirrored else dist.size
+def _masses(dist, mirrored: bool) -> tuple[np.ndarray, int]:
+    """Nonempty `dist` as float64, and the masses it stands for: 2*m - 1 for a mirrored m."""
+    dist = np.asarray(dist, dtype=np.float64)
+    if not dist.size:
+        raise ValueError("distribution is empty: it must hold at least one mass")
+    return dist, 2 * dist.size - 1 if mirrored else dist.size
 
 
 def tvd_uniform(dist: np.ndarray, p: int | None = None, *, mirrored: bool = False) -> float:
@@ -274,8 +277,7 @@ def tvd_uniform(dist: np.ndarray, p: int | None = None, *, mirrored: bool = Fals
     have mass 0.  A `mirrored` `dist` holds x = 0, 1, ... of a vector in which
     x and -x have the same mass.  The sum runs over blocks of `_BLOCK` values.
     """
-    dist = np.asarray(dist, dtype=np.float64)
-    size = _full_size(dist, mirrored)
+    dist, size = _masses(dist, mirrored)
     p = size if p is None else p
 
     def term(x, buf):
@@ -292,7 +294,7 @@ def entropy_bits(dist: np.ndarray, *, mirrored: bool = False) -> float:
     for x > 0 and 0 for x = 0, with no mask.  A `mirrored` `dist` counts every
     mass but the first twice.  The sum runs over blocks of `_BLOCK` values.
     """
-    dist = np.asarray(dist, dtype=np.float64)
+    dist, _ = _masses(dist, mirrored)
 
     def term(x, buf):
         logs = np.maximum(x, _TINY, out=buf)
@@ -305,7 +307,7 @@ def entropy_bits(dist: np.ndarray, *, mirrored: bool = False) -> float:
 
 def support_size(dist: np.ndarray, *, mirrored: bool = False) -> int:
     """Number of residues with positive mass; a `mirrored` `dist` counts all but the first twice."""
-    dist = np.asarray(dist, dtype=np.float64)
+    dist, _ = _masses(dist, mirrored)
     return int(_fold(dist, lambda x, buf: np.count_nonzero(x > 0), mirrored=mirrored))
 
 
@@ -335,14 +337,13 @@ def typical_set_size(dist: np.ndarray, delta: float, *, mirrored: bool = False) 
     mass of each bucket.  Summed from the top bucket down, these masses locate
     the bucket in which 1 - delta is reached, and only that bucket is sorted.
     Should rounding leave its masses short of 1 - delta, the count goes on
-    into the next nonempty bucket down.  The buckets' masses are added in
+    through every smaller mass at once.  The buckets' masses are added in
     another order than the sort would add them, so where a partial sum lies
     within rounding of 1 - delta the two counts can differ.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta} must be in (0, 1)")
-    dist = np.asarray(dist, dtype=np.float64)
-    n, target = _full_size(dist, mirrored), 1.0 - delta
+    (dist, n), target = _masses(dist, mirrored), 1.0 - delta
     if n <= _SORT_MAX:
         cum = _running_sums(0.0, np.concatenate((dist, dist[1:])) if mirrored else dist)
         return min(int(np.searchsorted(cum, target, side="left")), n - 1) + 1
@@ -380,9 +381,7 @@ def typical_set_size(dist: np.ndarray, delta: float, *, mirrored: bool = False) 
         k = int(np.searchsorted(cum, target, side="left"))
         if k < cum.size:
             return int(sum(parts[::2])) + k + 1
-        above = float(cum[-1])
-        # the buckets between are empty, and zeros add nothing
-        lower = np.flatnonzero(hist[:c] > 0.0)
-        if not lower.size:
+        if not c:
             return n
-        c, ceiling = int(lower[-1]), floor
+        # every smaller mass at once: the sort would add them next, in this order
+        c, ceiling, above = 0, floor, float(cum[-1])

@@ -280,8 +280,7 @@ def _merge_tally(residues, counts, new, new_counts):
     if not residues.size:  # inserting the first block would copy it at the peak
         return new, new_counts
     pos = np.searchsorted(residues, new)
-    hit = pos < residues.size
-    hit[hit] = residues[pos[hit]] == new[hit]
+    hit = residues.take(pos, mode="clip") == new
     counts[pos[hit]] += new_counts[hit]
     miss = ~hit
     return (np.insert(residues, pos[miss], new[miss]),

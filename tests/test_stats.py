@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -245,15 +244,10 @@ class TestExhaustive:
         assert rep.trials == (3**n - 1) // 2
         assert rep.counts.ravel().tolist() == PINNED_EXHAUSTIVE[n]
 
-    def test_peak_memory_does_not_grow_with_3_to_the_n(self):
+    def test_peak_memory_does_not_grow_with_3_to_the_n(self, heap_peak):
         # 27 windows a position and no enumerated rows: about 7 KB at any n
         def peak(n):
-            tracemalloc.start()
-            try:
-                exhaustive_expectations(n)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return heap_peak(exhaustive_expectations, n)[1]
 
         exhaustive_expectations(3)
         assert max(peak(n) for n in (12, 13, 14)) <= 1 << 16
@@ -357,16 +351,11 @@ class TestMonteCarlo:
         assert all(t <= d for t, d in zip(tallied, drawn))
         assert all(rows * n <= max(2**16, n) for rows in drawn)
 
-    def test_peak_memory_per_digit(self):
+    def test_peak_memory_per_digit(self, heap_peak):
         # ten blocks of one 100000-digit row, each swept in the same two int8
         # buffers: about 5.7 bytes a digit of one block, with the tally's pieces
         monte_carlo_frequencies(100000, 1, seed=2)
-        tracemalloc.start()
-        try:
-            monte_carlo_frequencies(100000, 10, seed=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = heap_peak(monte_carlo_frequencies, 100000, 10, seed=2)
         assert peak <= 6 * 100000
 
     @pytest.fixture

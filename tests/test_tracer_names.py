@@ -62,3 +62,17 @@ def test_exhaustive_spans_sweep_the_windows_once():
         assert names.count(name) == 1, name
     sweep, = (s for s in tracer.spans if s.name == "canonical.sweep")
     assert sweep.counts["digits"] == 27 * 4
+
+
+def test_evolve_spans_follow_every_row():
+    # evolve's functionals read each trace row through the module globals of distribution
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        code, out, err = tracing.run_inprocess(
+            ["evolve", "--p", "10007", "--steps", "20", "--format", "json"], tracer)
+    assert code == 0, err
+    rows = len(json.loads(out)["trace"])
+    assert rows == 21
+    names = [s.name for s in tracer.spans]
+    for name in ("tvd", "entropy", "support", "typical"):
+        assert names.count(f"distribution.{name}") == rows, name
