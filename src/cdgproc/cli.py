@@ -328,7 +328,7 @@ def cmd_simulate(args) -> None:
     _check_cost("simulate", cost, MAX_SIMULATE_COST, "reduce --trials or --steps")
     residues, counts = sample_endpoints(params, args.steps, args.trials, args.seed)
     # plug-in estimate: visited residues contribute |c/T - 1/p|, the rest 1/p each
-    tvd = dist_mod.tvd_uniform(counts / args.trials, p)
+    tvd = dist_mod.tvd_uniform(counts, p, total=args.trials)
     bias_note = (
         "plug-in TVD is biased upward by roughly sqrt(p/(2*pi*trials)) "
         "when trials is not much larger than p"

@@ -262,25 +262,31 @@ def _fold(dist: np.ndarray, term, combine=operator.add, dtype=np.float64, *, mir
     return combine(combine(total, total), term(dist[:1], buf[:1])) if mirrored else total
 
 
-def _masses(dist, mirrored: bool) -> tuple[np.ndarray, int]:
-    """Nonempty `dist` as float64, and the masses it stands for: 2*m - 1 for a mirrored m."""
-    dist = np.asarray(dist, dtype=np.float64)
+def _masses(dist, mirrored: bool, dtype=np.float64) -> tuple[np.ndarray, int]:
+    """Nonempty `dist` as `dtype`, and the masses it stands for: 2*m - 1 for a mirrored m."""
+    dist = np.asarray(dist, dtype=dtype)
     if not dist.size:
         raise ValueError("distribution is empty: it must hold at least one mass")
     return dist, 2 * dist.size - 1 if mirrored else dist.size
 
 
-def tvd_uniform(dist: np.ndarray, p: int | None = None, *, mirrored: bool = False) -> float:
+def tvd_uniform(
+    dist: np.ndarray, p: int | None = None, *, mirrored: bool = False, total: int | None = None
+) -> float:
     """Total variation distance from uniform: 0.5 * sum |mass(s) - 1/p|.
 
     `p` defaults to the values `dist` stands for; the residues missing from it
     have mass 0.  A `mirrored` `dist` holds x = 0, 1, ... of a vector in which
-    x and -x have the same mass.  The sum runs over blocks of `_BLOCK` values.
+    x and -x have the same mass.  With `total`, `dist` holds integer counts
+    and mass(s) = count(s) / total, divided a block at a time, so no float
+    copy of the counts is made.  The sum runs over blocks of `_BLOCK` values.
     """
-    dist, size = _masses(dist, mirrored)
+    dist, size = _masses(dist, mirrored, np.float64 if total is None else np.int64)
     p = size if p is None else p
 
     def term(x, buf):
+        if total is not None:
+            x = np.divide(x, total, out=buf)
         dev = np.subtract(x, 1.0 / p, out=buf)
         return np.abs(dev, out=dev).sum()
 

@@ -7,7 +7,8 @@ The increments b_k are i.i.d. on {-1, 0, 1}.  A length-n increment string
 
 so trajectories, endpoint values and digit strings are interchangeable here.
 `sample_endpoints` is the library's one sampler of the chain, behind
-`cdg simulate`; `substreams`, the one seed rule, also serves `stats`.
+`cdg simulate`; `substreams`, the one seed rule, also serves `stats`, whose
+uniform digits `_uniform_digits` reads from a substream's raw words.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ SIMULATE_BLOCK = 1 << 20
 _MAX_GROUP = 10
 #: trials per generator call, and entries per gather of _tally, so that temporaries stay below 1 MB
 _DRAW_CHUNK = 1 << 16
+#: _uniform_digits draws at most this many bytes of raw words at once
+_DRAW_BYTES = 1 << 16
+#: bytes drawn beyond the digits still wanted, for the zero bytes dropped: 1 in 256,
+#: so a piece of 2^16 bytes drops 256 +- 16 and a margin this wide is not used up
+_DRAW_MARGIN = 1 << 10
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -180,11 +186,42 @@ def substreams(seed, total: int, size: int) -> Iterator[tuple[np.random.Generato
     """(generator, count) for each block of `size` of `total` draws; only the last may be short.
 
     Block b draws from substream(SeedSequence(seed), b), so a draw depends
-    only on the seed, `size` and its index.
+    only on the seed, `size` and its index.  A negative integer seed is
+    refused here, before any block is drawn.
     """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     root = np.random.SeedSequence(seed)
-    for b, lo in enumerate(range(0, total, size)):
-        yield substream(root, b), min(size, total - lo)
+    return ((substream(root, b), min(size, total - lo))
+            for b, lo in enumerate(range(0, total, size)))
+
+
+def _uniform_digits(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill int8 `out` with exactly the digits of rng.integers(-1, 2, out.shape, dtype=int8).
+
+    That draw takes the bytes of the generator's raw 64-bit words in
+    little-endian order, one byte b a digit, rejects b = 0 (3b = 0 mod 256)
+    and returns (3b >> 8) - 1, which is (b >= 86) + (b >= 171) - 1.  This
+    reads the raw words in pieces of at most _DRAW_BYTES bytes and does the
+    same, with no per-digit call, drawing another piece while digits are
+    missing.  It reads more words than numpy's draw, which leaves the
+    generator in another state, so the digits match only as the generator's
+    one draw: one a Monte Carlo substream.  `out` must be C-contiguous.
+    """
+    flat = out.reshape(-1)
+    done = 0
+    while done < flat.size:
+        want = flat.size - done
+        nbytes = min(_DRAW_BYTES, want + _DRAW_MARGIN)
+        words = rng.bit_generator.random_raw(-(-nbytes // 8))
+        b = words.astype("<u8", copy=False).view(np.uint8)
+        b = b[b != 0][:want]
+        digits = flat[done : done + b.size]
+        np.greater_equal(b, 86, out=digits.view(np.bool_))
+        digits += b >= 171
+        digits -= 1
+        done += b.size
+    return out
 
 
 def _group_sums(k: int) -> np.ndarray:

@@ -25,8 +25,10 @@ Monte Carlo draws one substream (process.substreams, also the seed rule of
 the chain's sampler process.sample_endpoints) per block of about 2^16 digits
 of trials and keeps per-cell sums and sums of squares, so its memory does not
 grow with the trial count; its cost, trials x (n + 48), is checked before
-anything is drawn.  Every block is swept in the same two int8 buffers, so
-the peak is about 4 bytes a digit of one block.
+anything is drawn.  Every block is drawn by process._uniform_digits, the
+digits of numpy's int8 draw read straight from the generator's raw words,
+into one reused int8 buffer and swept in two more, so the peak is about 4
+bytes a digit of one block.
 
 All reports use the first-1 table orientation.  Statistics are identical
 under negation, so Monte Carlo negates first-minus-1 draws before counting,
@@ -50,7 +52,7 @@ from .canonical import (
     _first_nonzero_sign,
     pair_cell,
 )
-from .process import substreams
+from .process import _uniform_digits, substreams
 
 __all__ = [
     "BlockEventReport",
@@ -75,13 +77,14 @@ _CELLS = 6 * 4 * 2
 
 #: Monte Carlo refuses trials * (n + 48) above this: digits plus per-row cells.
 #: It also keeps the int64 sums of squares, at most trials * n^2 < 2^56, exact.
-#: Measured on a 2-core x86 VM: 3.7 ns a unit at n = 2, 5.9 at n = 20, 8 to 12
-#: at n = 100 to 1000, 10.0 at n = 100000 and 11.1 at n = 2^16 (one trial per
-#: substream), so the largest accepted input takes about 1 minute.
+#: Measured on a 2-core x86 VM: 2.7 ns a unit at n = 2, 4.1 at n = 20, 5.3 to 6.3
+#: at n = 100 to 1000, 4.3 at n = 100000, 4.7 at n = 2^16 (one trial per
+#: substream) and 5.1 at n = 2^24, so the largest accepted input takes about
+#: half a minute.
 MAX_MC_COST = 1 << 32
 #: one row is the smallest block, so n alone sets the Monte Carlo memory: about
-#: 4 bytes a digit of one block (the draw, two int8 buffers and the sign's
-#: bool temporary), 64 MiB at this length
+#: 4 bytes a digit of one block (the reused draw buffer, the sweep's two int8
+#: buffers and the sign's bool temporary), 64 MiB at this length
 MAX_MC_LENGTH = 1 << 24
 #: a Monte Carlo substream covers about this many digits (whole rows, at least one)
 _BLOCK_DIGITS = 1 << 16
@@ -155,9 +158,12 @@ def _per_row_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     codes are pair indices (see _pair_codes).  A piece of whole rows within
     _PIECE_UNITS is offset by 36 a row into one intp buffer and tallied by one
-    bincount into rows x 36 counts; a longer row is counted in slices.  So no
-    temporary grows with the block or the row, and no int64 copy of every
-    position is made.  A cell's count is the sum of its
+    bincount into rows x 36 counts.  A longer row is one piece, read as
+    little-endian uint16 pairs of codes (lo + 256 * hi) in slices of
+    _PIECE_UNITS codes: each slice's bincount into 36 x 256 bins folds back
+    into the 36 counts, lo's and hi's, and an odd width adds its last code.
+    So no temporary grows with the block or the row, and no int64 copy of
+    every position is made.  A cell's count is the sum of its
     indices' counts, so its square is their squares plus twice the product of
     its _SHARED pair; both fold into the 48 cells exactly in int64.  Both
     results have shape (48,).
@@ -177,8 +183,14 @@ def _per_row_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             counts = np.bincount(piece[:k].ravel(), minlength=k * 36).reshape(k, 36)
         else:
             row = codes[lo]
-            counts = sum(np.bincount(row[j : j + _PIECE_UNITS], minlength=36)
-                         for j in range(0, width, _PIECE_UNITS))[None, :]
+            even = width - width % 2
+            pairs = row[:even].view("<u2")
+            counts = np.bincount(row[even:], minlength=36)[None, :]
+            for j in range(0, pairs.size, _PIECE_UNITS // 2):
+                h = np.bincount(pairs[j : j + _PIECE_UNITS // 2], minlength=36 * 256)
+                h = h.reshape(36, 256)[:, :36]
+                counts += h.sum(axis=0) + h.sum(axis=1)
+                del h  # the next slice's bincount is not taken beside these bins
         s1 += counts.sum(axis=0)
         sq += np.einsum("ij,ij->j", counts, counts)
         cross += np.einsum("ij,ij->j", counts[:, _SHARED[0]], counts[:, _SHARED[1]])
@@ -345,11 +357,11 @@ def monte_carlo_frequencies(n: int, trials: int, seed) -> FrequencyReport:
     s1 = np.zeros(_CELLS, dtype=np.int64)
     s2 = np.zeros(_CELLS, dtype=np.int64)
     used = 0
-    # every block is swept in these two buffers: fresh pages for each chunk of
-    # 10 rows took about 0.1 s of 0.5 s at 600 rows of 100000 digits
-    canon, scratch = (np.empty((min(block, trials), n), dtype=np.int8) for _ in range(2))
+    # every block is drawn and swept in these three buffers: fresh pages for each
+    # chunk of 10 rows took about 0.1 s of 0.5 s at 600 rows of 100000 digits
+    draw, canon, scratch = (np.empty((min(block, trials), n), dtype=np.int8) for _ in range(3))
     for rng, rows in substreams(seed, trials, block):
-        mat = rng.integers(-1, 2, size=(rows, n), dtype=np.int8)
+        mat = _uniform_digits(rng, draw[:rows])
         sign = _first_nonzero_sign(mat)
         mat *= sign[:, None]
         if not sign.all():

@@ -679,6 +679,18 @@ class TestSimulate:
         peak(100)
         assert peak(4 << 14) <= peak(1 << 14) + (1 << 17)
 
+    def test_tvd_makes_no_float_copy_of_the_counts(self, tmp_path, heap_peak):
+        # the tvd divides the counts a block at a time, so the command peaks within
+        # 2^19 B of its sampler; a float64 copy of the 632,000 counts peaked 1.4 MB above
+        argv = ["simulate", "--p", "1000003", "--steps", "60", "--trials", "1000000",
+                "--seed", "3", f"--out={tmp_path / 'histogram.json'}"]
+        main(argv[:5] + ["--trials", "10", argv[-1]])
+        code, peak = heap_peak(main, argv)
+        assert code == 0
+        _, sampler = heap_peak(process.sample_endpoints, process.ProcessParams(1000003), 60,
+                               1000000, 3)
+        assert peak <= sampler + (1 << 19)
+
 
 class TestEmit:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -870,6 +882,10 @@ class TestInputContract:
         (("bounds", "--n", "20", "--eps", "1e-300"),
          "CountRegion(kind='S', n=20, eps=1e-300) contains no integer tuple"),
         (("stats", "--mode", "exhaustive", "--n", "15"), "length 15 exceeds exhaustive bound 14"),
+        (("stats", "--mode", "mc", "--n", "20", "--trials", "10", "--seed", "-1"),
+         "seed -1 is negative"),
+        (("simulate", "--p", "11", "--steps", "2", "--trials", "10", "--seed", "-1"),
+         "seed -1 is negative"),
     ])
     def test_refusal_line_is_pinned(self, argv, line):
         # one input for each library refusal the CLI can reach: exit 1, this line, no output

@@ -482,6 +482,16 @@ class TestBlockedFunctionals:
         assert abs(tvd_uniform(mass) - whole_vector_tvd_uniform(mass)) <= 1e-12
         assert abs(entropy_bits(mass) - masked_entropy_bits(mass)) <= 1e-12
 
+    @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3])
+    def test_tvd_of_counts_is_the_tvd_of_their_masses(self, size):
+        # counts divided a block at a time give the same masses, blocks and fold
+        counts = np.random.default_rng(size).integers(0, 50, size=size)
+        total = int(counts.sum()) + 7
+        for p in (size, size + 1000):
+            assert (tvd_uniform(counts, p, total=total)
+                    == tvd_uniform(counts / total, p)
+                    == pytest.approx(whole_vector_tvd_uniform(counts / total, p), abs=1e-12))
+
     def test_negative_zero_regression(self):
         # the bit pattern of -0.0 is INT64_MIN; it must count as a zero mass
         assert typical_set_size(np.array([-0.0, 1.0]), 0.01) == 1

@@ -2,7 +2,8 @@
 
 Refused before any warning and before any arithmetic on the input, so a
 non-finite eps never surfaces as an OverflowError or an unnamed conversion
-error, and an empty vector never as a division by zero or a count of -1.
+error, an empty vector never as a division by zero or a count of -1, and a
+negative seed not as numpy's unnamed `expected non-negative integer`.
 """
 
 import math
@@ -20,6 +21,7 @@ from cdgproc.bounds import (
     multinomial_region_count,
 )
 from cdgproc.distribution import entropy_bits, support_size, tvd_uniform, typical_set_size
+from cdgproc.process import substreams
 
 CASES = [
     (f"{name}-{'mirrored' if mirrored else 'dense'}",
@@ -28,6 +30,9 @@ CASES = [
     for name, fn in [("tvd", tvd_uniform), ("entropy", entropy_bits), ("support", support_size),
                      ("typical", partial(typical_set_size, delta=0.01))]
     for mirrored in (False, True)
+] + [
+    ("tvd-counts", lambda: tvd_uniform(np.zeros(0, np.int64), 5, total=1), r"^distribution is empty"),
+    ("substreams-seed", lambda: substreams(-1, 5, 1), r"^seed -1 is negative$"),
 ] + [
     (f"{fn.__name__}-{eps}", lambda fn=fn, eps=eps: fn(10, eps), rf"^eps {eps} must be finite$")
     for fn in (binomial_tail_count, log2_binomial_tail, count_cost)

@@ -1,10 +1,11 @@
 import hashlib
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from cdgproc import stats
+from cdgproc import process, stats
 from cdgproc.canonical import SequenceClass, TABLE_LIMITS, _canonicalize_matrix, pair_cell
 from cdgproc.stats import (
     BlockEventReport,
@@ -164,12 +165,28 @@ class TestPairCodes:
         raw = np.ones((5, 1), dtype=np.int8)
         assert stats._pair_codes(raw, raw).shape == (5, 0)
 
+    def test_limits_derived_from_the_windows(self):
+        # far from both ends a position's window (b_{a-1}, b_a, s) is uniform over
+        # the 18 with s != 0, so each limit is the share of those 18 the index sends
+        # to its cell, read at position 2 of (1, b_{a-1}, b_a, s) as in exhaustive mode
+        windows = np.array([(1, *w) for w in product((-1, 0, 1), repeat=3)], dtype=np.int8)
+        codes = stats._pair_codes(windows, _canonicalize_matrix(windows))[:, 1]
+        derived = [[Fraction(0)] * 4 for _ in range(6)]
+        for window, code in zip(windows.tolist(), codes.tolist()):
+            if window[3] != 0:
+                row, col = divmod(int(stats._CODE36[code]) // 2, 4)
+                derived[row][col] += Fraction(1, 18)
+        literal = TABLE_LIMITS.tolist()
+        assert derived == [[Fraction(x).limit_denominator(18) for x in r] for r in literal]
+        assert [[float(f) for f in r] for r in derived] == literal
+
 
 class TestPerRowCounts:
-    @pytest.mark.parametrize("n", [2, 3, 21, 2**16 + 2])
+    @pytest.mark.parametrize("n", [2, 3, 21, 40002, 2**16 + 2, 200004])
     def test_matches_per_trial_moments(self, n):
         # row counts that leave a short last piece of _PIECE_UNITS, or one row per
-        # piece and a short last slice of the row
+        # piece and a short last slice of the row; the long rows hold an odd number
+        # of codes, so every other row's uint16 pairs start at an odd offset
         per = stats._PIECE_UNITS // (n - 1 + 36)
         size = (2 * per + 7 if per else 3, n)
         mat = np.random.default_rng(n).integers(-1, 2, size=size, dtype=np.int8)
@@ -187,6 +204,47 @@ class TestPerRowCounts:
         var = (rows * s2 - s1.astype(float) ** 2) / (rows * (rows - 1))
         np.testing.assert_allclose(np.sqrt(var) / (n * np.sqrt(rows)), stderr.ravel(),
                                    rtol=1e-12, atol=0)
+
+
+class TestUniformDigits:
+    @staticmethod
+    def assert_draws_integers(seed, shape):
+        out = np.empty(shape, dtype=np.int8)
+        assert stats._uniform_digits(np.random.default_rng(seed), out) is out
+        expected = np.random.default_rng(seed).integers(-1, 2, size=shape, dtype=np.int8)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_matches_integers_over_many_seeds(self):
+        for seed in range(300):
+            self.assert_draws_integers(seed, 1000)
+
+    @pytest.mark.parametrize("size", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 7])
+    def test_matches_integers_around_piece_edges(self, seed, size):
+        self.assert_draws_integers(seed, size)
+
+    @pytest.mark.parametrize("shape", [(32768, 2), (3276, 20), (218, 300), (1, 100000), (3, 40001)])
+    def test_matches_integers_at_block_shapes(self, shape):
+        self.assert_draws_integers(17, shape)
+
+    @pytest.mark.parametrize("size", [8, 5000, 2**16 + 3])
+    def test_short_pieces_are_topped_up(self, monkeypatch, size):
+        # with no margin, the first piece is the digits wanted rounded up to whole
+        # words, and any zero byte among them leaves it short
+        monkeypatch.setattr(process, "_DRAW_MARGIN", 0)
+        seeds = range(100)
+        words = [np.random.default_rng(s).bit_generator.random_raw(-(-min(size, 2**16) // 8))
+                 for s in seeds]
+        short = [s for s, w in zip(seeds, words)
+                 if np.count_nonzero(w.astype("<u8").view(np.uint8)[:size]) < min(size, 2**16)]
+        assert short
+        for seed in short:
+            self.assert_draws_integers(seed, size)
+
+    def test_substreams_draw_from_pcg64(self):
+        # the raw-word reading above is numpy's bounded int8 draw on this generator
+        for rng, _ in process.substreams(5, 3, 1):
+            assert type(rng.bit_generator) is np.random.PCG64
 
 
 class TestExhaustive:
@@ -352,8 +410,9 @@ class TestMonteCarlo:
         assert all(rows * n <= max(2**16, n) for rows in drawn)
 
     def test_peak_memory_per_digit(self, heap_peak):
-        # ten blocks of one 100000-digit row, each swept in the same two int8
-        # buffers: about 5.7 bytes a digit of one block, with the tally's pieces
+        # ten blocks of one 100000-digit row, each drawn and swept in the same
+        # three int8 buffers: about 5.1 bytes a digit of one block, with the
+        # tally's pieces
         monte_carlo_frequencies(100000, 1, seed=2)
         _, peak = heap_peak(monte_carlo_frequencies, 100000, 10, seed=2)
         assert peak <= 6 * 100000
