@@ -17,15 +17,12 @@ by the raw pair (b_{a-1}, b_a) (six rows) and the standard-form pair
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .process import as_digit_array
 
 __all__ = [
-    "BlockDecomposition",
-    "CanonicalForm",
     "COL_LABELS",
     "ROW_LABELS",
     "SequenceClass",
@@ -92,26 +89,6 @@ _ROW_LUT = np.array(
 _COL_LUT = np.array([[0, 1], [3, 2]], dtype=np.int8)
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalForm:
-    """Standard form of a digit string together with its class."""
-
-    digits: np.ndarray
-    sequence_class: SequenceClass
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Leading zeros plus the block starts of a first-1 string.
-
-    Block i runs from `start_positions[i]` up to the next start, and the final
-    block is always cut by the end of the string: a longer string could extend it.
-    """
-
-    leading_zeros: int
-    start_positions: tuple[int, ...]
-
-
 def classify(digits) -> SequenceClass:
     """Class of a digit string per its first nonzero digit."""
     sign = _first_nonzero_sign(as_digit_array(digits)[None, :])[0]
@@ -174,18 +151,19 @@ def _canonicalize_matrix(
     return near
 
 
-def canonicalize(digits) -> CanonicalForm:
-    """Value-preserving standard form of a digit string."""
-    arr = as_digit_array(digits)
-    out = _canonicalize_matrix(arr[None, :])[0]
-    return CanonicalForm(digits=out, sequence_class=classify(arr))
+def canonicalize(digits) -> np.ndarray:
+    """Value-preserving standard form of a digit string, as an int8 array."""
+    return _canonicalize_matrix(as_digit_array(digits)[None, :])[0]
 
 
-def decompose_blocks(digits) -> BlockDecomposition:
-    """Split a first-1 string into leading zeros and block starts.
+def decompose_blocks(digits) -> tuple[int, ...]:
+    """Block starts of a first-1 string: the positions of its 1s.
 
-    Strings of the first-minus-1 class must be negated by the caller first;
-    all-zero strings have no blocks at all.
+    The first start is the leading-zero count.  Block i runs from start i up
+    to the next start, and the final block is always cut by the end of the
+    string: a longer string could extend it.  Strings of the first-minus-1
+    class must be negated by the caller first; all-zero strings have no
+    blocks at all.
     """
     arr = as_digit_array(digits)
     cls = classify(arr)
@@ -194,8 +172,7 @@ def decompose_blocks(digits) -> BlockDecomposition:
             f"block decomposition needs a first-1 string, got {cls.value}"
             + (" (negate the digits first)" if cls is SequenceClass.FIRST_MINUS_ONE else "")
         )
-    starts = tuple(np.flatnonzero(arr == 1).tolist())
-    return BlockDecomposition(starts[0], starts)
+    return tuple(np.flatnonzero(arr == 1).tolist())
 
 
 def pair_cell(b_prev: int, b_cur: int, bt_prev: int, bt_cur: int) -> tuple[int, int]:

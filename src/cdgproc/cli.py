@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import distribution as dist_mod
-from .canonical import SequenceClass, canonicalize, decompose_blocks
+from .canonical import SequenceClass, canonicalize, classify, decompose_blocks
 from .process import (
     IncrementDistribution,
     ProcessParams,
@@ -162,7 +162,7 @@ def _scan_moduli(args) -> list[int]:
 
     A range is refused when its largest odd candidate exceeds the guard.
     """
-    if args.primes:
+    if args.primes is not None:
         moduli = [ProcessParams(_parse_modulus(p)).modulus for p in args.primes.split(",")]
         cost, largest = sum(_scan_cost(p, args.steps) for p in moduli), max(moduli)
     elif args.p_min is None or args.p_max is None:
@@ -171,11 +171,14 @@ def _scan_moduli(args) -> list[int]:
         moduli = range(max(3, args.p_min) | 1, args.p_max + 1, 2)
         if not moduli:
             return []
-        # every odd candidate is charged as p_max
-        cost, largest = len(moduli) * _scan_cost(args.p_max, args.steps), moduli[-1]
+        # each odd candidate p is charged (cap(p_max) + 1)(p + _STEP_UNITS); the
+        # candidates are an arithmetic series, so their sum is count x mean
+        largest = moduli[-1]
+        mean = (moduli[0] + largest) // 2 + _STEP_UNITS
+        cost = (_scan_cap(args.p_max, args.steps) + 1) * len(moduli) * mean
     _check_cost("scan", cost, MAX_SCAN_COST, "reduce the moduli or --steps")
     dist_mod.check_modulus(largest)
-    if not args.primes:
+    if args.primes is None:
         return [p for p in moduli if args.allow_composite or is_prime(p)]
     kept = []
     for p in moduli:
@@ -206,15 +209,14 @@ def cmd_scan(args) -> None:
 
 def cmd_canon(args) -> None:
     digits = parse_digits(args.digits)
-    form = canonicalize(digits)
-    cls = form.sequence_class
+    cls = classify(digits)
     text = format_digits(digits)
     payload = {
         "command": "canon",
         "input": text,
         "class": cls.value,
         "value": value_of(digits),
-        "canonical": format_digits(form.digits),
+        "canonical": format_digits(canonicalize(digits)),
         "leading_zeros": None,
         "blocks": None,
         "start_positions": None,
@@ -223,14 +225,14 @@ def cmd_canon(args) -> None:
     }
     if cls is not SequenceClass.ALL_ZERO:
         source = digits if cls is SequenceClass.FIRST_ONE else -digits
-        dec = decompose_blocks(source)
+        starts = decompose_blocks(source)
         # every block is a slice of the source's text, cut at the block starts
         source_text = text if cls is SequenceClass.FIRST_ONE else format_digits(source)
-        cuts = [*dec.start_positions, len(source_text)]
+        cuts = [*starts, len(source_text)]
         payload.update(
-            leading_zeros=dec.leading_zeros,
+            leading_zeros=starts[0],
             blocks=[source_text[s:e] for s, e in zip(cuts, cuts[1:])],
-            start_positions=list(dec.start_positions),
+            start_positions=list(starts),
             last_block_partial=True,  # the string's end always cuts the last block
             block_source="input" if cls is SequenceClass.FIRST_ONE else "negated_input",
         )
@@ -303,21 +305,18 @@ def cmd_bounds(args) -> None:
 
 # ---------------------------------------------------------------- simulate
 
-def _histogram_rows(row: str, residues: list, counts: list) -> str:
-    """One row per histogram entry, filled by a single % format over (residue, count) pairs."""
-    pairs = [None] * (2 * len(residues))
-    pairs[::2], pairs[1::2] = residues, counts
-    return row * len(residues) % tuple(pairs)
-
-
 def _emit_histogram(head: str, row: str, last: str, residues, counts, out: str | None) -> None:
-    """head, then every entry but the last as `row` in pieces of _HISTOGRAM_PIECE, then `last`."""
+    """head, then every entry but the last as `row` in pieces of _HISTOGRAM_PIECE, then `last`.
+
+    A piece is one % format over its interleaved (residue, count) pairs.
+    """
     _emit(head, out)
     end = len(residues) - 1
     for lo in range(0, end, _HISTOGRAM_PIECE):
         hi = min(lo + _HISTOGRAM_PIECE, end)
-        text = _histogram_rows(row, residues[lo:hi].tolist(), counts[lo:hi].tolist())
-        _emit(text, out, append=True)
+        pairs = [None] * (2 * (hi - lo))
+        pairs[::2], pairs[1::2] = residues[lo:hi].tolist(), counts[lo:hi].tolist()
+        _emit(row * (hi - lo) % tuple(pairs), out, append=True)
     _emit(last % (residues[end], counts[end]), out, append=True)
 
 

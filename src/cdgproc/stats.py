@@ -243,23 +243,21 @@ class FrequencyReport:
 
     def to_dict(self) -> dict:
         mean = self.freq_mean
-        combined_freq = self.combined_freq
-        cells = {}
-        combined = {}
-        for r, rlabel in enumerate(ROW_LABELS):
-            for c, clabel in enumerate(COL_LABELS):
-                for par, plabel in enumerate(("even", "odd")):
-                    err = None if self.freq_stderr is None else float(self.freq_stderr[r, c, par])
-                    cells[f"{rlabel}|{clabel}|{plabel}"] = {
-                        "count": int(self.counts[r, c, par]),
-                        "frequency": float(mean[r, c, par]),
-                        "stderr": err,
-                    }
-                combined[f"{rlabel}|{clabel}"] = {
-                    "count": int(self.counts[r, c].sum()),
-                    "frequency": float(combined_freq[r, c]),
-                    "limit": float(TABLE_LIMITS[r, c]),
-                }
+        stderr = ([None] * self.counts.size if self.freq_stderr is None
+                  else self.freq_stderr.ravel().tolist())
+        cells = {
+            "|".join(key): {"count": count, "frequency": freq, "stderr": err}
+            for key, count, freq, err in zip(
+                itertools.product(ROW_LABELS, COL_LABELS, ("even", "odd")),
+                self.counts.ravel().tolist(), mean.ravel().tolist(), stderr)
+        }
+        combined = {
+            "|".join(key): {"count": count, "frequency": freq, "limit": limit}
+            for key, count, freq, limit in zip(
+                itertools.product(ROW_LABELS, COL_LABELS),
+                self.counts.sum(axis=2).ravel().tolist(),
+                self.combined_freq.ravel().tolist(), TABLE_LIMITS.ravel().tolist())
+        }
         n1, n2, n3, n4 = _col11_split(mean)
         col11_even, col11_odd = self.col11_parity_freq()
         return {
@@ -274,7 +272,7 @@ class FrequencyReport:
                 "n2": float(n2),
                 "n3": float(n3),
                 "n4": float(n4),
-                "column_sums": [float(x) for x in self.column_sums],
+                "column_sums": self.column_sums.tolist(),
                 "col11_even": col11_even,
                 "col11_odd": col11_odd,
             },

@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -691,6 +692,19 @@ class TestSimulate:
                                1000000, 3)
         assert peak <= sampler + (1 << 19)
 
+    def test_histogram_writer_holds_one_piece(self, monkeypatch, heap_peak):
+        # 632,000 JSON rows, about simulate's endpoints at p = 1000003 and 10^6 trials:
+        # each piece's text goes straight to _emit, so no two pieces are alive at once
+        # (holding a piece's text past its _emit call peaked at 4.21 MB)
+        residues = np.arange(632_000, dtype=np.int64) * 1000003 // 632_000
+        counts = np.arange(632_000, dtype=np.int64) % 5 + 1
+        written = []
+        monkeypatch.setattr(cli, "_emit", lambda text, out, append=False: written.append(len(text)))
+        args = ("{\n", '    "%d": %d,\n', '    "%d": %d\n  }\n}\n', residues, counts, None)
+        _, peak = heap_peak(cli._emit_histogram, *args)
+        assert len(written) == 2 + math.ceil(631_999 / cli._HISTOGRAM_PIECE)
+        assert peak <= 3_500_000
+
 
 class TestEmit:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -737,6 +751,8 @@ class TestCostLimits:
         # listing the candidates is charged even when no step is evolved
         (("scan", "--p-min", "3", "--p-max", "1000000000000", "--steps", "0"), "scan"),
         (("evolve", "--p", "67108859", "--steps", "100000"), "evolve"),
+        # each candidate is charged at its own p: 3..22468 is the widest range from 3
+        (("scan", "--p-min", "3", "--p-max", "22469"), "scan"),
     ])
     def test_refused_before_any_work(self, capsys, no_work, argv, what):
         code, out, err = run_cli(capsys, *argv)
@@ -750,6 +766,8 @@ class TestCostLimits:
         ("simulate", "--p", "1000003", "--steps", "60", "--trials", "1000000"),
         ("scan", "--primes", "67108859"),
         ("scan", "--p-min", "3", "--p-max", "10000"),
+        ("scan", "--p-min", "3", "--p-max", "20000"),
+        ("scan", "--p-min", "3", "--p-max", "22468"),
     ])
     def test_large_inputs_pass_the_check(self, capsys, no_work, argv):
         with pytest.raises(AssertionError, match="work began"):
@@ -760,7 +778,7 @@ class TestCostLimits:
         ("MAX_SCAN_COST", ("scan", "--primes", "101", "--steps", "{}"),
          lambda k: (k + 1) * (101 + cli._STEP_UNITS)),
         ("MAX_SCAN_COST", ("scan", "--p-min", "3", "--p-max", "31", "--steps", "{}"),
-         lambda k: 15 * (k + 1) * (31 + cli._STEP_UNITS)),
+         lambda k: 15 * (k + 1) * ((3 + 31) // 2 + cli._STEP_UNITS)),
         ("MAX_SIMULATE_COST", ("simulate", "--p", "11", "--steps", "{}", "--trials", "7"),
          lambda k: (k + cli._TRIAL_UNITS) * (7 + cli._STEP_UNITS)),
     ])
@@ -886,6 +904,7 @@ class TestInputContract:
          "seed -1 is negative"),
         (("simulate", "--p", "11", "--steps", "2", "--trials", "10", "--seed", "-1"),
          "seed -1 is negative"),
+        (("scan", "--primes", ""), "--primes entry '' is not an integer"),
     ])
     def test_refusal_line_is_pinned(self, argv, line):
         # one input for each library refusal the CLI can reach: exit 1, this line, no output
