@@ -2,8 +2,8 @@
 
 Every subcommand is deterministic given its full flag set (including --seed),
 writes data to stdout (or --out) and diagnostics to stderr, and exits 0 only
-on success.  CSV floats are printed with 12 significant digits; JSON output
-validates against schemas/cli_output.schema.json shipped with the package.
+on success.  CSV floats have 12 significant digits; JSON, from `_json_text`,
+has every integer in full and validates against schemas/cli_output.schema.json.
 `_emit_table` is the one --format switch of `evolve`, `scan` and `stats`;
 `simulate` streams its histogram in either format.  Commands return nothing:
 every failure raises, and `main` turns it into exit 1 with one `error:` line.
@@ -89,8 +89,23 @@ def _emit(text: str, out: str | None, append: bool = False) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(obj: dict) -> str:
+    """obj as JSON with indent 2, refusing NaN, and with every integer in full.
+
+    Python's int-to-text cap (3.11 on) is lifted while encoding only.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n", out)
+    _emit(_json_text(obj) + "\n", out)
 
 
 def _csv(columns, rows) -> str:
@@ -236,15 +251,7 @@ def cmd_canon(args) -> None:
             last_block_partial=True,  # the string's end always cuts the last block
             block_source="input" if cls is SequenceClass.FIRST_ONE else "negated_input",
         )
-    # `value` is written in full: Python 3.11's int-to-decimal cap is lifted meanwhile
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        _emit_json(payload, args.out)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    _emit_json(payload, args.out)
 
 
 # ------------------------------------------------------------------- stats
@@ -256,8 +263,8 @@ def cmd_stats(args) -> None:
     else:
         report = monte_carlo_frequencies(args.n, args.trials, args.seed)
     d = report.to_dict()
-    rows = [dict(zip(("row", "col", "parity"), key.split("|")), **cell)
-            for key, cell in d["cells"].items()]
+    rows = (dict(zip(("row", "col", "parity"), key.split("|")), **cell)
+            for key, cell in d["cells"].items())
     seed = args.seed if args.mode == "mc" else None
     _emit_table(args, ("row", "col", "parity", "count", "frequency", "stderr"), rows,
                 {"command": "stats", "seed": seed, **d})
@@ -291,11 +298,7 @@ def cmd_bounds(args) -> None:
             "eps": eps,
             "binomial_tail": tail_block,
             **{
-                f"region_{kind}": {
-                    "count": None if r.count is None else str(r.count),
-                    "log2_count": r.log2_count,
-                    "method": r.method,
-                }
+                f"region_{kind}": {**asdict(r), "count": None if r.count is None else str(r.count)}
                 for kind, r in regions.items()
             },
             "stirling": asdict(stirling),
@@ -343,22 +346,18 @@ def cmd_simulate(args) -> None:
         ]
         _emit_histogram("\n".join(lines), "%d,%d\n", "%d,%d\n", residues, counts, args.out)
     else:
-        head = json.dumps(
-            {
-                "command": "simulate",
-                "p": p,
-                "steps": args.steps,
-                "trials": args.trials,
-                "seed": args.seed,
-                "dist": list(params.increments.as_tuple()),
-                "tvd_estimate": float(tvd),
-                "bias_note": bias_note,
-                "distinct_endpoints": len(residues),
-                "histogram": {},
-            },
-            indent=2,
-            allow_nan=False,
-        )
+        head = _json_text({
+            "command": "simulate",
+            "p": p,
+            "steps": args.steps,
+            "trials": args.trials,
+            "seed": args.seed,
+            "dist": list(params.increments.as_tuple()),
+            "tvd_estimate": float(tvd),
+            "bias_note": bias_note,
+            "distinct_endpoints": len(residues),
+            "histogram": {},
+        })
         # head ends with the empty histogram '{}' and the closing '\n}'
         _emit_histogram(f"{head[:-4]}{{\n", '    "%d": %d,\n', '    "%d": %d\n  }\n}\n',
                         residues, counts, args.out)

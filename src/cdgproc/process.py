@@ -51,8 +51,6 @@ _DRAW_BYTES = 1 << 16
 #: so a piece of 2^16 bytes drops 256 +- 16 and a margin this wide is not used up
 _DRAW_MARGIN = 1 << 10
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 @dataclass(frozen=True)
 class IncrementDistribution:
@@ -124,10 +122,7 @@ def _bits_to_int(bits: np.ndarray, n: int) -> int:
 def value_of(digits) -> int:
     """Exact signed integer b_0*2^(n-1) + b_1*2^(n-2) + ... + b_{n-1}."""
     arr = as_digit_array(digits)
-    n = arr.size
-    if n == 0:
-        return 0
-    return _bits_to_int(arr == 1, n) - _bits_to_int(arr == -1, n)
+    return _bits_to_int(arr == 1, arr.size) - _bits_to_int(arr == -1, arr.size)
 
 
 _CHAR_TO_DIGIT = {"+": 1, "1": 1, "0": 0, "-": -1}
@@ -150,28 +145,10 @@ def format_digits(digits) -> str:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division, O(sqrt(n)): the CLI tests only moduli it can walk, below 2^26."""
+    if n < 4:
+        return n > 1
+    return n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def substream(root: np.random.SeedSequence, b: int) -> np.random.Generator:
@@ -314,8 +291,6 @@ def _tally(x: np.ndarray):
 
 def _merge_tally(residues, counts, new, new_counts):
     """The sorted tally of two sorted tallies, each with distinct residues; counts is updated."""
-    if not residues.size:  # inserting the first block would copy it at the peak
-        return new, new_counts
     pos = np.searchsorted(residues, new)
     hit = residues.take(pos, mode="clip") == new
     counts[pos[hit]] += new_counts[hit]
@@ -338,9 +313,10 @@ def sample_endpoints(params: ProcessParams, steps: int, trials: int, seed) -> tu
         raise ValueError(f"step count {steps} is negative")
     if params.modulus > SIMULATE_MAX_MODULUS:
         raise ValueError(f"modulus {params.modulus} exceeds the int64 simulation limit")
-    residues = counts = np.zeros(0, dtype=np.int64)
-    for rng, count in substreams(seed, trials, SIMULATE_BLOCK):
-        # the walk's only reference goes to _tally, which keeps its buffer for the residues
-        tally = _tally(_block_walk(rng, params, steps, count))
+    # each walk's only reference goes to _tally, which keeps its buffer for the residues
+    tallies = (_tally(_block_walk(rng, params, steps, count))
+               for rng, count in substreams(seed, trials, SIMULATE_BLOCK))
+    residues, counts = next(tallies)
+    for tally in tallies:
         residues, counts = _merge_tally(residues, counts, *tally)
     return residues, counts

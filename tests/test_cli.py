@@ -107,13 +107,22 @@ class TestIsPrime:
             assert not is_prime(c)
 
     def test_against_sieve(self):
-        sieve = [True] * 2000
+        size = 1 << 16
+        sieve = [True] * size
         sieve[0] = sieve[1] = False
-        for i in range(2, 45):
+        for i in range(2, math.isqrt(size) + 1):
             if sieve[i]:
-                for j in range(i * i, 2000, i):
+                for j in range(i * i, size, i):
                     sieve[j] = False
-        assert [is_prime(i) for i in range(2000)] == sieve
+        assert [is_prime(i) for i in range(size)] == sieve
+
+    def test_primes_below_the_dense_guard(self):
+        # the primes in [2^26 - 200, 2^26], the top of what the CLI tests
+        top = 1 << 26
+        assert [n for n in range(top - 200, top + 1) if is_prime(n)] == [
+            67108667, 67108669, 67108693, 67108709, 67108721, 67108729, 67108739, 67108747,
+            67108753, 67108757, 67108763, 67108777, 67108819, 67108837, 67108859,
+        ]
 
 
 class TestEvolve:
@@ -905,6 +914,21 @@ class TestInputContract:
         (("simulate", "--p", "11", "--steps", "2", "--trials", "10", "--seed", "-1"),
          "seed -1 is negative"),
         (("scan", "--primes", ""), "--primes entry '' is not an integer"),
+        (("stats", "--mode", "mc", "--n", "2", "--trials", "1", "--seed", "12"),
+         "all trials drew the all-zero string; increase n or trials"),
+        (("simulate", "--p", "2305843009213693953", "--steps", "5", "--trials", "10"),
+         "modulus 2305843009213693953 exceeds the int64 simulation limit"),
+        (("simulate", "--p", "11", "--steps", "2", "--trials", "0"),
+         "trial count 0 must be at least 1"),
+        (("stats", "--mode", "mc", "--n", "20", "--trials", "0"),
+         "trial count 0 must be at least 1"),
+        (("stats", "--mode", "mc", "--n", "1", "--trials", "3"), "length 1 must be at least 2"),
+        (("stats", "--mode", "exhaustive", "--n", "0"), "length 0 must be at least 1"),
+        (("bounds", "--n", "3"), "length 3 must be even and at least 2"),
+        (("evolve", "--p", "11", "--steps", "2", "--delta", "nan"), "delta nan must be in (0, 1)"),
+        (("evolve", "--p", "11", "--steps", "2", "--dist=-0.5,1,0.5"),
+         "negative probability in (-0.5, 1.0, 0.5)"),
+        (("evolve", "--p", "11", "--steps", "-1"), "step count -1 is negative"),
     ])
     def test_refusal_line_is_pinned(self, argv, line):
         # one input for each library refusal the CLI can reach: exit 1, this line, no output

@@ -7,6 +7,7 @@ negative seed not as numpy's unnamed `expected non-negative integer`.
 """
 
 import math
+import re
 import warnings
 from functools import partial
 
@@ -21,7 +22,8 @@ from cdgproc.bounds import (
     multinomial_region_count,
 )
 from cdgproc.distribution import entropy_bits, support_size, tvd_uniform, typical_set_size
-from cdgproc.process import substreams
+from cdgproc.process import as_digit_array, substreams
+from cdgproc.stats import class_probability, monte_carlo_frequencies
 
 CASES = [
     (f"{name}-{'mirrored' if mirrored else 'dense'}",
@@ -41,6 +43,12 @@ CASES = [
     (f"region-{eps}", lambda eps=eps: multinomial_region_count(CountRegion("S", 10, eps)),
      rf"^eps {eps} must be finite$")
     for eps in (math.inf, math.nan)
+] + [
+    ("digit-matrix", lambda: as_digit_array(np.zeros((2, 2))),
+     "^" + re.escape("expected a 1-d digit sequence, got shape (2, 2)") + "$"),
+    ("mc-all-zero", lambda: monte_carlo_frequencies(2, 1, 12),
+     "^all trials drew the all-zero string; increase n or trials$"),
+    ("class-probability-length", lambda: class_probability(-1), r"^length -1 is negative$"),
 ]
 
 
