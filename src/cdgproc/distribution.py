@@ -15,12 +15,8 @@ step, so the walk holds only the residues 0..(P - 1)/2: the mirrored half.
 The trace functionals read it with `mirrored=True`, which counts every mass
 but residue 0's twice, and `evolve` unfolds it into the dense vector.  Only
 this module knows that layout: `evolve`, `evolve_with_trace` and
-`first_crossings` read the walk for every caller in the package.  Every
-vector lives in a prefix of one of two buffers of the dense length, p or
-(p + 1)/2, that the steps ping-pong between, so under a symmetric law the
-walk holds one p-vector's worth in all.  A step reads the old masses and
-writes the new ones `_STEP_BLOCK` output pairs at a time through one small
-block buffer, so each block's work stays in cache.
+`first_crossings` read the walk for every caller in the package.  The walk
+steps one buffer of dense length, p or (p + 1)/2, in place.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ __all__ = [
     "typical_set_size",
 ]
 
-#: dense-vector memory guard: a walk's two p-vectors are 1 GiB here; `cdg simulate` goes beyond
+#: dense-vector memory guard: a walk's 1.5 p-vectors are 768 MiB here; `cdg simulate` goes beyond
 MAX_MODULUS = 1 << 26
 
 #: values per block of the trace functionals: 2^15 float64 values (256 KiB) stay in cache
@@ -63,7 +59,7 @@ _SORT_MAX = 1 << 13
 _MAX_BUCKETS = 1 << 13
 _TINY = np.finfo(np.float64).smallest_subnormal
 #: output pairs per block of the exact step: a block spreads 2^15 + 2 old masses and
-#: writes 2^15 new ones through a product temporary, 768 KiB in all with `out`
+#: writes 2^15 new ones through a product temporary, 768 KiB with its outputs
 _STEP_BLOCK = 1 << 14
 
 
@@ -79,54 +75,57 @@ def initial_dist(p: int) -> np.ndarray:
     return _embed(np.ones(1), p)
 
 
-def _step_buffer() -> np.ndarray:
-    """The block buffer that `_apply_step` takes as `scratch`."""
-    return np.empty(4 * _STEP_BLOCK + 2)
+def _step_buffer(size: int, mirrored: bool) -> np.ndarray:
+    """`_apply_step`'s `scratch` for vectors of up to `size` values."""
+    return np.empty(4 * _STEP_BLOCK + 2 + (size // 3 + 2 if mirrored else (size + 1) // 2))
 
 
 def _apply_step(
-    dist: np.ndarray, params: ProcessParams, out: np.ndarray, scratch: np.ndarray,
-    mirrored: bool = False,
+    dist: np.ndarray, params: ProcessParams, scratch: np.ndarray, mirrored: bool = False
 ) -> np.ndarray:
-    """One step mod P of `dist` written into `out`, which is returned; `dist` is only read.
+    """One step mod P of `dist`, written back into `dist`, which is returned.
 
-    `dist` and `out` have the same length: P, or under `mirrored` the
-    residues 0..h - 1 of P = 2*h - 1, whose negatives have the same masses.
+    `dist` holds P values, or under `mirrored` the residues 0..h - 1 of
+    P = 2*h - 1, whose negatives have the same masses.
     new[y] = q0*d[y] + q+*d[y - 1] + q-*d[y + 1] (indices mod P), where d lays
     the old masses out in the order the step sends them: with h = (P + 1)/2,
     d[2*j] = dist[j] and d[2*j + 1] = dist[h + j], or when `mirrored`
     d[2*j + 1] = dist[h - 1 - j] and d[-1] = dist[h - 1].  Each output is
     added in the order of the full step, so for a law with q+ = q- the
     mirrored masses are those the full step gives these residues.
-    d is never built whole.  For each block of `_STEP_BLOCK` output pairs
-    (new[2*j], new[2*j + 1]), the d[2*j - 1 .. 2*k] it reads are spread into
-    `scratch`, and the three products are added straight into that block of
-    `out`; the last output, if any, is a scalar sum.  `scratch` holds
-    4 * `_STEP_BLOCK` + 2 values.
+    d is never built whole: a block of `_STEP_BLOCK` output pairs j..k - 1
+    spreads the d[2*j - 1 .. 2*k] it reads into `scratch` and adds the three
+    products into its outputs; the last output, if any, is a scalar sum.
+    Outputs from pair s on, s = h // 2 or `mirrored` dist.size // 3, go to
+    the rest of `scratch`, copied in last.  Below s the blocks write in
+    place, highest first, reading only dist[j..k] and from 2*s up.
     """
     q = params.increments
-    d, t = scratch[: 2 * _STEP_BLOCK + 2], scratch[2 * _STEP_BLOCK + 2 :]
     # even[i] = d[2*i], odd[i] = d[2*i + 1] and first = d[-1]; the tail entry is
     # (d[y], d[y - 1], d[y + 1]) of the output y past the pairs
     if mirrored:
-        even, odd, first, pairs = dist, dist[::-1], dist[-1], dist.size // 2
+        even, odd, first, pairs, s = dist, dist[::-1], dist[-1], dist.size // 2, dist.size // 3
         tail = [(dist[pairs], dist[pairs + 1], dist[pairs])] if dist.size % 2 else []
     else:
         h = (dist.size + 1) // 2
-        even, odd, first, pairs = dist[:h], dist[h:], dist[h - 1], h - 1
+        even, odd, first, pairs, s = dist[:h], dist[h:], dist[h - 1], h - 1, h // 2
         tail = [(even[-1], odd[-1], even[0])]
-    for j in range(0, pairs, _STEP_BLOCK):
-        k = min(j + _STEP_BLOCK, pairs)
+    d, t, top = np.split(scratch, (2 * _STEP_BLOCK + 2, 4 * _STEP_BLOCK + 2))
+    blocks = [(j, min(j + _STEP_BLOCK, end)) for begin, end in ((0, s), (s, pairs))
+              for j in range(begin, end, _STEP_BLOCK)]
+    for j, k in reversed(blocks):
         block = d[: 2 * (k - j) + 2]  # d[2*j - 1 .. 2*k]
         block[0] = odd[j - 1] if j else first
         block[1::2], block[2::2] = even[j : k + 1], odd[j:k]
-        new, tmp = out[2 * j : 2 * k], t[: 2 * (k - j)]
+        new = top[2 * (j - s) : 2 * (k - s)] if j >= s else dist[2 * j : 2 * k]
+        tmp = t[: 2 * (k - j)]
         np.multiply(block[1:-1], q.q_zero, out=new)
         new += np.multiply(block[:-2], q.q_plus1, out=tmp)
         new += np.multiply(block[2:], q.q_minus1, out=tmp)
-    for y, (here, before, after) in enumerate(tail, 2 * pairs):
-        out[y] = q.q_zero * here + q.q_plus1 * before + q.q_minus1 * after
-    return out
+    for y, (here, before, after) in enumerate(tail, 2 * (pairs - s)):
+        top[y] = q.q_zero * here + q.q_plus1 * before + q.q_minus1 * after
+    dist[2 * s :] = top[: dist.size - 2 * s]
+    return dist
 
 
 def _embed(mass: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -134,14 +133,15 @@ def _embed(mass: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarra
 
     The residues 0..(P - 1)/2 stand for themselves and the rest for the
     negative integers -(P - 1)/2..-1, which are distinct mod p; every other
-    residue gets 0.  A vector mod p is returned as is.
+    residue gets 0.  A vector mod p is returned as is.  `out` may start with
+    `mass`: numpy moves the negatives up without a temporary.
     """
     if mass.size == p:
         return mass
     h = (mass.size + 1) // 2
     dense = np.empty(p) if out is None else out
     gap = p - mass.size + h  # the first negative residue mod p
-    dense[:h], dense[h:gap], dense[gap:] = mass[:h], 0.0, mass[h:]
+    dense[gap:], dense[h:gap], dense[:h] = mass[h:], 0.0, mass[:h]
     return dense
 
 
@@ -155,17 +155,16 @@ def iter_evolve(params: ProcessParams, n: int) -> Iterator[tuple[int, np.ndarray
     law (q+ = q-) x and -x have the same mass at every step, and `mass`
     holds only the residues 0..(P - 1)/2: pass `mirrored=True` to the
     functionals; `evolve` returns the whole vector.  Either way `mass` is a
-    view of one of two buffers of its dense length, which the next step may
-    overwrite: copy it to keep it.  These two buffers and one block buffer
-    are all the walk allocates.
+    prefix of the walk's one buffer, which the next step overwrites: copy it
+    to keep it.  The walk allocates only that buffer and `scratch`.
     """
     if n < 0:
         raise ValueError(f"step count {n} is negative")
     p = params.modulus
     check_modulus(p)
     mirrored = params.increments.is_symmetric
-    dense = (p + 1) // 2 if mirrored else p
-    held, free, scratch = np.empty(dense), np.empty(dense), _step_buffer()
+    held = np.empty((p + 1) // 2 if mirrored else p)
+    scratch = _step_buffer(held.size, mirrored)
     mass, modulus = held[:1], 1
     mass[0] = 1.0
     yield 0, mass
@@ -176,19 +175,17 @@ def iter_evolve(params: ProcessParams, n: int) -> Iterator[tuple[int, np.ndarray
                 held[mass.size : (modulus + 1) // 2] = 0.0
                 mass = held[: (modulus + 1) // 2]
             else:
-                mass, held, free = _embed(mass, modulus, free[:modulus]), free, held
-        out = free[: mass.size]
-        mass, held, free = _apply_step(mass, params, out, scratch, mirrored), free, held
-        yield k, mass
+                mass = _embed(mass, modulus, held[:modulus])
+        yield k, _apply_step(mass, params, scratch, mirrored)
 
 
 def step(dist: np.ndarray, params: ProcessParams) -> np.ndarray:
     """One exact step of the distribution under the walk; `dist` is left as it is."""
-    dist = np.ascontiguousarray(dist, dtype=np.float64)
+    dist = np.array(dist, dtype=np.float64)  # a copy
     p = params.modulus
     if dist.shape != (p,):
         raise ValueError(f"distribution has length {dist.shape}, parameters have modulus {p}")
-    return _apply_step(dist, params, np.empty(p), _step_buffer())
+    return _apply_step(dist, params, _step_buffer(p, False))
 
 
 def evolve(params: ProcessParams, n: int) -> np.ndarray:

@@ -296,3 +296,21 @@ def unfold_mirrored(half) -> np.ndarray:
     half = np.asarray(half, dtype=np.float64)
     x = np.arange(2 * half.size - 1)
     return half[np.minimum(x, x[-1] + 1 - x)]
+
+
+def spread_step(dist, q, mirrored: bool = False) -> np.ndarray:
+    """One step of a residue vector mod its length P, out of place, with d built whole.
+
+    d[y] = whole[y * 2^-1 mod P] lays the old masses out in the order x -> 2*x
+    sends them, and new = q0*d + q+*d[y - 1] + q-*d[y + 1] is added in that
+    order, q = (q-, q0, q+).  A `mirrored` half of m values is unfolded to
+    P = 2*m - 1 and the first m outputs are returned.
+    """
+    whole = unfold_mirrored(dist) if mirrored else np.asarray(dist, dtype=np.float64)
+    p = whole.size
+    d = whole[np.arange(p) * pow(2, -1, p) % p]
+    q_minus, q_zero, q_plus = q
+    new = q_zero * d
+    new += q_plus * np.roll(d, 1)
+    new += q_minus * np.roll(d, -1)
+    return new[: len(dist)] if mirrored else new

@@ -384,9 +384,14 @@ class TestCanon:
             sys.set_int_max_str_digits(5000)
             assert run_cli(capsys, "canon", "+" * 20_000)[0] == 0
             assert sys.get_int_max_str_digits() == 5000
-            # --out names a directory: the write fails after the cap was lifted
+            # --out names a directory: the write fails once the text is encoded and the
+            # cap is already back
             code, _, err = run_cli(capsys, "canon", "+" * 20_000, f"--out={tmp_path}")
             assert_one_line_error(code, err)
+            assert sys.get_int_max_str_digits() == 5000
+            # the encoder itself raises while the cap is lifted
+            with pytest.raises(ValueError, match="Out of range float values"):
+                _emit_json({"tvd": math.nan}, None)
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(before)
@@ -809,7 +814,7 @@ class TestArgvFuzz:
     """Any argv exits 0 with valid output or exits 1 with one `error:` line."""
 
     HEADERS = {"evolve": "step,tvd,entropy_bits,support,typical99", "scan": "p,log2_p,",
-               "simulate": "# p="}
+               "simulate": "# p=", "stats": "row,col,parity,count,frequency,stderr\n"}
 
     def check(self, schema, argv):
         code, out, err = run_captured(*argv)
@@ -883,6 +888,37 @@ class TestArgvFuzz:
     @given(digits=st.text(alphabet="+-01 x", max_size=60))
     def test_canon(self, schema, digits):
         self.check(schema, ["canon", "--", digits])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=mostly(st.sampled_from(["exhaustive", "mc"]), st.sampled_from(["", "MC", "x"])),
+        # an accepted length stays small; the rare ones are refused by a bound or a guard
+        n=mostly(st.integers(min_value=1, max_value=300), st.integers(min_value=-5, max_value=0),
+                 st.integers(min_value=15, max_value=10**4),
+                 st.integers(min_value=2**24 + 1, max_value=10**15)),
+        # trials of 2^32 or more exceed the Monte Carlo cost guard at every length
+        trials=mostly(st.integers(min_value=1, max_value=2000), st.integers(min_value=-5, max_value=0),
+                      st.integers(min_value=2**32, max_value=10**15)),
+        seed=mostly(st.integers(min_value=0, max_value=2**64), negative,
+                    st.integers(min_value=2**64, max_value=2**200)),
+        cls=mostly(st.sampled_from(["first_one", "first_minus_one"]), st.sampled_from(["zero", ""])),
+        fmt=formats,
+    )
+    def test_stats(self, schema, mode, n, trials, seed, cls, fmt):
+        self.check(schema, ["stats", "--mode", mode, f"--n={n}", f"--trials={trials}",
+                            f"--seed={seed}", "--cls", cls, "--format", fmt])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.none(), mostly(st.integers(min_value=1, max_value=1000).map(lambda k: 2 * k),
+                                      raw, st.integers(min_value=10**8, max_value=10**15))),
+        eps=mostly(st.floats(min_value=0.0, max_value=0.05).map(repr),
+                   st.sampled_from(["0", "-0.01", "0.1", "1", "nan", "inf", "-inf", "1e-300",
+                                    "5e-324", "x", ""])),
+    )
+    def test_bounds(self, schema, n, eps):
+        # bounds prints only JSON
+        self.check(schema, ["bounds", f"--eps={eps}"] + ([] if n is None else [f"--n={n}"]))
 
 
 class TestInputContract:

@@ -35,6 +35,7 @@ from oracles import (
     fourier_product,
     masked_entropy_bits,
     sorted_typical_set_size,
+    spread_step,
     unfold_mirrored,
     whole_vector_tvd_uniform,
 )
@@ -119,6 +120,41 @@ class TestStep:
         before = dist.copy()
         step(dist, ProcessParams(31))
         np.testing.assert_array_equal(dist, before)
+
+    @pytest.mark.parametrize("p", STEP_EDGE_MODULI)
+    def test_leaves_every_input_as_it_is(self, p):
+        # the step runs in place on a copy: of a float64 vector, a strided view or a list
+        params = ProcessParams(p, IncrementDistribution(0.2, 0.5, 0.3))
+        whole = np.random.default_rng(p).random(2 * p)
+        before = whole.copy()
+        for dist in (whole[:p], whole[::2], whole[1::2].tolist()):
+            expected = spread_step(dist, params.increments.as_tuple())
+            np.testing.assert_array_equal(step(dist, params), expected)
+        np.testing.assert_array_equal(whole, before)
+
+    #: mirrored lengths m and moduli P around the block edges and around the split
+    #: s = m // 3 or (P + 1) // 4 below which the step writes in place
+    IN_PLACE_SIZES = {
+        True: (2, 3, 4, 5, 6, 7, 8, 2 * _STEP_BLOCK, 2 * _STEP_BLOCK + 1, 3 * _STEP_BLOCK - 1,
+               3 * _STEP_BLOCK, 3 * _STEP_BLOCK + 1, 3 * _STEP_BLOCK + 2, 3 * _STEP_BLOCK + 3,
+               *((p + 1) // 2 for p in STEP_EDGE_MODULI)),
+        False: (5, 7, 9, 11, 13, 4 * _STEP_BLOCK - 3, 4 * _STEP_BLOCK - 1, 4 * _STEP_BLOCK + 1,
+                4 * _STEP_BLOCK + 3, *STEP_EDGE_MODULI),
+    }
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_in_place_step_equals_the_out_of_place_oracle(self, mirrored):
+        # equal, not close: each output adds the same three products in the same order;
+        # the walk's scratch is sized for its dense length, so a longer one is tried too
+        rng = np.random.default_rng(36)
+        for size, law in itertools.product(self.IN_PLACE_SIZES[mirrored],
+                                           [(0.2, 0.5, 0.3), (1 / 3, 1 / 3, 1 / 3)]):
+            params = ProcessParams(2 * size - 1 if mirrored else size, IncrementDistribution(*law))
+            for room in (size, 4 * size):
+                dist = rng.random(size)
+                expected = spread_step(dist, law, mirrored)
+                assert _apply_step(dist, params, _step_buffer(room, mirrored), mirrored) is dist
+                np.testing.assert_array_equal(dist, expected, err_msg=f"{size} {law} {room}")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -256,14 +292,28 @@ class TestIterEvolve:
 
     @pytest.mark.parametrize("p", [1048577, 1048573])
     def test_allocates_two_vectors(self, p, heap_peak):
-        # the two ping-pong buffers and one block buffer; no p-sized temporary
+        # at most two p-vectors and the block buffer: no p-sized temporary
         params = ProcessParams(p, IncrementDistribution(0.2, 0.5, 0.3))
         assert heap_peak(self.walk, params)[1] <= 2 * 8 * p + 2**20
 
     @pytest.mark.parametrize("p", [1048577, 1048573])
     def test_symmetric_law_allocates_two_half_vectors(self, p, heap_peak):
-        # two buffers of (p + 1)/2 values and one block buffer
+        # at most two vectors of (p + 1)/2 values and the block buffer
         assert heap_peak(self.walk, ProcessParams(p))[1] <= 8 * (p + 1) + 2**20
+
+    # p = 1048577 grows from P = 2^20 - 1 to p, so the negatives move up by two places
+    # over themselves; p = 1048573 grows from 2^19 - 1, with no overlap
+    @pytest.mark.parametrize("p", [1048577, 1048573])
+    def test_steps_in_place_on_one_vector(self, p, heap_peak):
+        # the p-vector and its step's scratch: blocks, then (p + 1)/2 staged outputs
+        params = ProcessParams(p, IncrementDistribution(0.2, 0.5, 0.3))
+        assert heap_peak(self.walk, params)[1] <= 8 * (p + (p + 1) // 2) + 2**20
+
+    @pytest.mark.parametrize("p", [1048577, 1048573])
+    def test_symmetric_law_steps_in_place_on_one_half_vector(self, p, heap_peak):
+        # h = (p + 1)/2 values and the step's scratch: blocks, then h // 3 + 2 staged outputs
+        h = (p + 1) // 2
+        assert heap_peak(self.walk, ProcessParams(p))[1] <= 8 * (h + -(-h // 3) + 2) + 2**20
 
 
 class TestFunctionals:
@@ -593,13 +643,13 @@ class TestMirrored:
         for p in STEP_EDGE_MODULI:
             params, h = ProcessParams(p, IncrementDistribution(*q)), (p + 1) // 2
             half = rng.random(h)
-            out = _apply_step(half, params, np.empty(h), _step_buffer(), mirrored=True)
+            out = _apply_step(half.copy(), params, _step_buffer(h, True), mirrored=True)
             np.testing.assert_array_equal(out, step(unfold_mirrored(half), params)[:h])
             # halves of 0..m - 1 mod 2*m - 1 grown to mod P = 4*m - 1 < p, where
             # the step of the integers 0..m - 1 does not wrap
             for m in [m for m in (1, 2, 3, _STEP_BLOCK, _STEP_BLOCK + 1, h // 2) if 2 * m < h]:
                 grown = _embed(unfold_mirrored(rng.random(m)), 4 * m - 1)
-                out = _apply_step(grown[: 2 * m], params, np.empty(2 * m), _step_buffer(),
+                out = _apply_step(grown[: 2 * m].copy(), params, _step_buffer(2 * m, True),
                                   mirrored=True)
                 expected = step(dense_vector(grown, p), params)
                 np.testing.assert_array_equal(out, expected[: 2 * m])
